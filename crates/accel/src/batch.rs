@@ -1,90 +1,17 @@
-//! Batched-serving step simulation — the paper's motivation (§2.2.1)
-//! turned into an end-to-end model.
+//! The shared half of a batched generation step's cost — the paper's
+//! motivation (§2.2.1).
 //!
 //! In a batched generation step, the FC/FFN weights are streamed from DRAM
 //! once and shared by all `B` requests, while each request streams its own
 //! KV cache through the attention unit. The attention share of the step
 //! therefore grows with `B`, and that is precisely the share Token-Picker
-//! shrinks. This module combines:
-//!
-//! * a measured per-request attention cost (cycles from the cycle-level
-//!   simulator, amortized per head), and
-//! * an analytic weight-streaming cost at the accelerator's DRAM bandwidth,
-//!
-//! to produce step latency and the batch-size scaling of the speedup.
-
-use topick_core::{CoreError, PrecisionConfig, QMatrix, QVector, Rows};
+//! shrinks. This module prices the weight stream analytically at the
+//! accelerator's DRAM bandwidth; the serving engine
+//! ([`ServingEngine`](crate::serve::ServingEngine)) adds the measured
+//! per-request attention cost on top, so every batched-step figure comes
+//! from one serving run.
 
 use crate::config::AccelConfig;
-use crate::engine::ToPickAccelerator;
-
-/// Model-level parameters of the batched step (weight bytes come from the
-/// model spec; attention geometry from the accelerator config).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchStepParams {
-    /// Bytes of FC/FFN weights streamed once per step.
-    pub weight_bytes: u64,
-    /// Attention heads per request (every head runs one attention step).
-    pub heads: usize,
-    /// Requests in the batch.
-    pub batch: usize,
-}
-
-/// The outcome of a batched-step simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchStepResult {
-    /// Accelerator cycles spent streaming shared weights.
-    pub weight_cycles: u64,
-    /// Accelerator cycles spent on attention across the batch.
-    pub attention_cycles: u64,
-    /// Attention fraction of the step.
-    pub attention_fraction: f64,
-}
-
-impl BatchStepResult {
-    /// Total step cycles.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.weight_cycles + self.attention_cycles
-    }
-
-    /// Step speedup vs. another result (e.g. ToPick vs baseline).
-    #[must_use]
-    pub fn speedup_vs(&self, other: &BatchStepResult) -> f64 {
-        other.total_cycles() as f64 / self.total_cycles() as f64
-    }
-}
-
-/// Simulates one batched generation step.
-///
-/// The per-request, per-head attention cost is measured by running the
-/// cycle-level simulator once on the supplied instance and scaling by
-/// `heads × batch` (heads within a request are processed back-to-back on
-/// the shared lanes, as are requests within the batch). Weight streaming
-/// proceeds at the DRAM peak bandwidth, the best case for the baseline.
-///
-/// # Errors
-///
-/// Propagates [`CoreError`] from the attention simulation.
-pub fn simulate_batch_step(
-    accel_cfg: &AccelConfig,
-    params: &BatchStepParams,
-    query: &QVector,
-    keys: &QMatrix,
-    values: Rows<'_>,
-) -> Result<BatchStepResult, CoreError> {
-    let accel = ToPickAccelerator::new(accel_cfg.clone());
-    let one_head = accel.run_attention(query, keys, values)?;
-    let attention_cycles = one_head.cycles * params.heads as u64 * params.batch as u64;
-    let weight_cycles = weight_stream_cycles(accel_cfg, params.weight_bytes);
-
-    let total = weight_cycles + attention_cycles;
-    Ok(BatchStepResult {
-        weight_cycles,
-        attention_cycles,
-        attention_fraction: attention_cycles as f64 / total as f64,
-    })
-}
 
 /// Accelerator cycles spent streaming `weight_bytes` of FC/FFN weights at
 /// the DRAM peak bandwidth — the per-step cost every request in a batch
@@ -101,95 +28,71 @@ pub fn weight_stream_cycles(accel_cfg: &AccelConfig, weight_bytes: u64) -> u64 {
     (weight_bytes as f64 / bytes_per_accel_cycle).ceil() as u64
 }
 
-/// Convenience: simulate the same batch step under two accelerator
-/// configurations (typically baseline vs ToPick) and return
-/// `(baseline, topick, speedup)`.
-///
-/// # Errors
-///
-/// Propagates [`CoreError`] from either simulation.
-pub fn compare_batch_step(
-    baseline_cfg: &AccelConfig,
-    topick_cfg: &AccelConfig,
-    params: &BatchStepParams,
-    query: &QVector,
-    keys: &QMatrix,
-    values: Rows<'_>,
-) -> Result<(BatchStepResult, BatchStepResult, f64), CoreError> {
-    let base = simulate_batch_step(baseline_cfg, params, query, keys, values)?;
-    let tp = simulate_batch_step(topick_cfg, params, query, keys, values)?;
-    let speedup = tp.speedup_vs(&base);
-    Ok((base, tp, speedup))
-}
-
-/// Sanity helper: the precision every batch simulation should use.
-#[must_use]
-pub fn default_precision() -> PrecisionConfig {
-    PrecisionConfig::paper()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::AccelMode;
+    use crate::serve::{ServingEngine, ServingReport, ServingRequest};
 
-    fn instance(ctx: usize) -> (QVector, QMatrix, Vec<f32>) {
-        let pc = PrecisionConfig::paper();
-        let inst = topick_model::SynthInstance::generate(
-            &topick_model::SynthProfile::realistic(ctx, 64),
-            7,
-        );
-        (
-            QVector::quantize(&inst.query, pc),
-            QMatrix::quantize_flat(inst.keys().data(), 64, pc).expect("non-empty"),
-            inst.into_values(),
-        )
+    /// Serves `batch` requests of `prompt` tokens for `tokens` decode steps
+    /// each, all admitted together, and returns the report. Prefill stays
+    /// unpriced, so every step is one batched decode iteration: the shared
+    /// weight stream plus each request's attention at its own context.
+    fn serve_batch(
+        accel: AccelConfig,
+        weight_bytes: u64,
+        heads: usize,
+        batch: usize,
+        prompt: usize,
+        tokens: usize,
+    ) -> ServingReport {
+        let mut engine = ServingEngine::builder(accel)
+            .weight_bytes(weight_bytes)
+            .heads(heads)
+            .max_batch(batch)
+            .max_batch_tokens(batch * (prompt + tokens).next_multiple_of(16))
+            .seed(7)
+            .record_events(false)
+            .build();
+        for id in 0..batch as u64 {
+            engine
+                .enqueue(ServingRequest::new(id, prompt, tokens))
+                .expect("valid request");
+        }
+        let report = engine.run_to_completion(tokens + 1).expect("completes");
+        assert!(report.steps.iter().all(|s| s.batch == batch));
+        report
+    }
+
+    fn attention_share(report: &ServingReport) -> f64 {
+        report.total_attention_cycles() as f64 / report.total_cycles as f64
     }
 
     #[test]
     fn attention_fraction_grows_with_batch() {
-        let (q, keys, values) = instance(256);
-        let cfg = AccelConfig::baseline();
         let mut prev_frac = 0.0;
-        for batch in [1usize, 4, 16, 64] {
-            let params = BatchStepParams {
-                weight_bytes: 200_000_000, // ~0.1B params at 16-bit
-                heads: 4,
-                batch,
-            };
-            let r = simulate_batch_step(&cfg, &params, &q, &keys, Rows::new(&values, 64)).unwrap();
+        for batch in [1usize, 2, 4, 8] {
+            // ~0.1B params at 16-bit.
+            let r = serve_batch(AccelConfig::baseline(), 200_000_000, 4, batch, 256, 1);
+            let frac = attention_share(&r);
             assert!(
-                r.attention_fraction > prev_frac,
-                "batch {batch}: fraction {} not growing",
-                r.attention_fraction
+                frac > prev_frac,
+                "batch {batch}: fraction {frac} not growing"
             );
-            prev_frac = r.attention_fraction;
+            prev_frac = frac;
         }
     }
 
     #[test]
     fn topick_speedup_grows_with_batch() {
-        let (q, keys, values) = instance(512);
-        let base_cfg = AccelConfig::baseline();
         let tp_cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).unwrap();
         let mut prev_speedup = 0.0;
-        for batch in [1usize, 8, 64] {
+        for batch in [1usize, 4, 16] {
             // `heads` covers all layers x heads of a request (the attention
             // work one request contributes per step).
-            let params = BatchStepParams {
-                weight_bytes: 50_000_000,
-                heads: 64,
-                batch,
-            };
-            let (_, _, speedup) = compare_batch_step(
-                &base_cfg,
-                &tp_cfg,
-                &params,
-                &q,
-                &keys,
-                Rows::new(&values, 64),
-            )
-            .unwrap();
+            let base = serve_batch(AccelConfig::baseline(), 50_000_000, 64, batch, 512, 1);
+            let tp = serve_batch(tp_cfg.clone(), 50_000_000, 64, batch, 512, 1);
+            let speedup = base.total_cycles as f64 / tp.total_cycles as f64;
             assert!(
                 speedup > prev_speedup,
                 "batch {batch}: speedup {speedup} not growing (prev {prev_speedup})"
@@ -203,17 +106,38 @@ mod tests {
 
     #[test]
     fn weight_streaming_cost_scales_with_bytes() {
-        let (q, keys, values) = instance(128);
         let cfg = AccelConfig::baseline();
-        let mk = |bytes| BatchStepParams {
-            weight_bytes: bytes,
-            heads: 2,
-            batch: 1,
-        };
-        let vrows = Rows::new(&values, 64);
-        let small = simulate_batch_step(&cfg, &mk(1_000_000), &q, &keys, vrows).unwrap();
-        let large = simulate_batch_step(&cfg, &mk(10_000_000), &q, &keys, vrows).unwrap();
+        let small = serve_batch(cfg.clone(), 1_000_000, 2, 1, 128, 1).steps[0];
+        let large = serve_batch(cfg.clone(), 10_000_000, 2, 1, 128, 1).steps[0];
+        assert_eq!(small.weight_cycles, weight_stream_cycles(&cfg, 1_000_000));
         assert!(large.weight_cycles > 9 * small.weight_cycles);
         assert_eq!(small.attention_cycles, large.attention_cycles);
+    }
+
+    #[test]
+    fn one_request_run_aggregates_every_decode_step() {
+        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).unwrap();
+        let r = serve_batch(accel, 0, 2, 1, 32, 4);
+        // One attention simulation per decode step, at the request's
+        // context that step: the prompt plus the tokens generated so far.
+        let contexts: Vec<usize> = r.steps.iter().map(|s| s.context_tokens).collect();
+        assert_eq!(contexts, [32, 33, 34, 35]);
+        assert_eq!(r.prune.tokens, contexts.iter().sum::<usize>());
+        assert_eq!(r.tokens_generated, 4);
+        assert!(r.total_cycles > 0);
+        // With no weights to stream, the run is its attention work.
+        assert_eq!(r.total_cycles, r.total_attention_cycles());
+    }
+
+    #[test]
+    fn baseline_generation_is_slower_than_topick_generation() {
+        // Contexts must be long enough for out-of-order execution to have
+        // something to overlap (the paper evaluates at 1024-2048); with a
+        // handful of tokens per lane the round-trip latency dominates.
+        let run = |mode| serve_batch(AccelConfig::paper(mode, 1e-3).unwrap(), 0, 1, 1, 256, 2);
+        let base = run(AccelMode::Baseline);
+        let topick = run(AccelMode::OutOfOrder);
+        assert!(topick.total_cycles < base.total_cycles);
+        assert!(topick.mean_step_cycles() < base.mean_step_cycles());
     }
 }

@@ -41,19 +41,15 @@ pub mod backend;
 pub mod batch;
 pub mod config;
 pub mod engine;
-pub mod generation;
 pub mod layout;
 pub mod prompt;
 pub mod result;
 pub mod serve;
 
 pub use backend::SimulatedAttention;
-pub use batch::{
-    compare_batch_step, simulate_batch_step, weight_stream_cycles, BatchStepParams, BatchStepResult,
-};
+pub use batch::weight_stream_cycles;
 pub use config::{AccelConfig, AccelMode};
 pub use engine::ToPickAccelerator;
-pub use generation::{GenerationConfig, GenerationRunResult, GenerationSimulator};
 pub use layout::KvLayout;
 pub use prompt::{run_prompt_phase, PromptPhaseResult};
 pub use result::AttentionStepResult;
@@ -61,8 +57,8 @@ pub use serve::{
     run_token_backed, AdmissionConfig, ClusterEngine, ClusterEngineBuilder, ClusterEvent,
     ClusterReport, ClusterStepReport, FairRoundRobin, Fifo, KvPager, PendingView, PolicyKind,
     PreemptionConfig, PriorityAging, RequestStats, RetentionPolicy, RoutingKind, RoutingPolicy,
-    RunReport, RunningView, Scenario, ScenarioKind, SchedulerPolicy, ServeError, ServeEvent,
-    ServingConfig, ServingEngine, ServingEngineBuilder, ServingReport, ServingRequest,
-    SessionStats, ShardView, ShortestJobFirst, SloAware, StepReport, TokenBackedBatch,
-    TokenBackedRun, Trace, TraceError, TraceMeta, TraceRecorder, TraceReplay,
+    RunningView, Scenario, ScenarioKind, SchedulerPolicy, ServeError, ServeEvent, ServingConfig,
+    ServingEngine, ServingEngineBuilder, ServingReport, ServingRequest, SessionStats, ShardView,
+    ShortestJobFirst, SloAware, StepReport, TokenBackedBatch, TokenBackedRun, Trace, TraceError,
+    TraceMeta, TraceRecorder, TraceReplay,
 };

@@ -56,11 +56,11 @@
 
 use super::error::ServeError;
 use super::events::ServeEvent;
-use super::policy::{PolicyKind, PreemptionConfig, RetentionPolicy};
+use super::policy::PolicyKind;
 use super::queue::ServingRequest;
 use super::router::{RoutingKind, RoutingPolicy, ShardView};
-use super::stats::{RequestStats, ServingReport};
-use super::{AdmissionConfig, ServingConfig, ServingEngine};
+use super::stats::{self, RequestStats, ServingReport};
+use super::{ServingConfig, ServingEngine};
 
 use crate::config::AccelConfig;
 
@@ -176,7 +176,7 @@ impl ClusterReport {
     /// across all shards (see [`RequestStats::good_tokens`]).
     #[must_use]
     pub fn total_good_tokens(&self) -> usize {
-        self.requests().map(|(_, r)| r.good_tokens).sum()
+        stats::total_good_tokens(self.pooled())
     }
 
     /// Cluster goodput in SLO-attaining tokens per second at `clock_hz`,
@@ -195,20 +195,21 @@ impl ClusterReport {
     /// request declared a deadline.
     #[must_use]
     pub fn deadline_attainment(&self) -> f64 {
-        let mut carrying = 0usize;
-        let mut attained = 0usize;
-        for (_, r) in self.requests() {
-            if r.has_deadline() {
-                carrying += 1;
-                if r.slo_attained() {
-                    attained += 1;
-                }
-            }
-        }
-        if carrying == 0 {
-            return 1.0;
-        }
-        attained as f64 / carrying as f64
+        stats::deadline_attainment(self.pooled())
+    }
+
+    /// Mean time-to-first-token of finished requests across all shards,
+    /// in steps (shard clocks run in lockstep, so steps are comparable).
+    #[must_use]
+    pub fn mean_ttft_steps(&self) -> f64 {
+        stats::mean_ttft_steps(self.pooled())
+    }
+
+    /// Mean steps finished requests waited in a shard queue before
+    /// admission, across all shards.
+    #[must_use]
+    pub fn mean_queue_wait_steps(&self) -> f64 {
+        stats::mean_queue_wait_steps(self.pooled())
     }
 
     /// Finished requests across all shards, as `(shard_id, stats)`.
@@ -217,6 +218,11 @@ impl ClusterReport {
             .iter()
             .enumerate()
             .flat_map(|(shard, s)| s.requests.iter().map(move |r| (shard, r)))
+    }
+
+    /// Every shard's finished requests as one population.
+    fn pooled(&self) -> impl Iterator<Item = &RequestStats> {
+        self.shards.iter().flat_map(|s| s.requests.iter())
     }
 
     /// End-to-end cluster throughput in generated tokens per second at
@@ -289,16 +295,7 @@ impl ClusterReport {
     /// cluster number must come from the pooled samples.
     #[must_use]
     pub fn ttft_p99_steps(&self) -> usize {
-        let mut ttfts: Vec<usize> = self
-            .requests()
-            .filter_map(|(_, r)| Some(r.first_token_at? - r.enqueued_at + 1))
-            .collect();
-        if ttfts.is_empty() {
-            return 0;
-        }
-        ttfts.sort_unstable();
-        let rank = (ttfts.len() as f64 * 0.99).ceil() as usize;
-        ttfts[rank.clamp(1, ttfts.len()) - 1]
+        stats::ttft_p99_steps(self.pooled())
     }
 
     /// Total host-tier copy-back cycles charged across all shards.
@@ -344,8 +341,9 @@ impl ClusterReport {
 }
 
 /// Step-by-step construction of a [`ClusterEngine`]: the per-shard serving
-/// configuration and scheduler, plus the cluster-level knobs (shard count,
-/// routing policy, work stealing).
+/// configuration ([`config`](Self::config)) and scheduler, plus the
+/// cluster-level knobs (shard count, routing policy, work stealing,
+/// worker threads).
 ///
 /// Every shard is built identically — same limits, same scheduler kind,
 /// same workload seed — so a request costs the same cycles wherever it
@@ -354,12 +352,16 @@ impl ClusterReport {
 /// # Examples
 ///
 /// ```
-/// use topick_accel::{AccelConfig, AccelMode, ClusterEngine, RoutingKind, ServingRequest};
+/// use topick_accel::{
+///     AccelConfig, AccelMode, ClusterEngine, RoutingKind, ServingConfig, ServingRequest,
+/// };
 ///
 /// let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3)?;
+/// let mut cfg = ServingConfig::new(accel.clone());
+/// cfg.heads = 2;
+/// cfg.admission.max_batch = 2;
 /// let mut cluster = ClusterEngine::builder(accel)
-///     .heads(2)
-///     .max_batch(2)
+///     .config(cfg)
 ///     .shards(2)
 ///     .routing(RoutingKind::LeastLoaded)
 ///     .stealing(true)
@@ -408,138 +410,10 @@ impl ClusterEngineBuilder {
         self
     }
 
-    /// Sets the per-shard admission limits.
-    #[must_use]
-    pub fn admission(mut self, admission: AdmissionConfig) -> Self {
-        self.cfg.admission = admission;
-        self
-    }
-
-    /// Sets each shard's batch slot limit.
-    #[must_use]
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.cfg.admission.max_batch = max_batch;
-        self
-    }
-
-    /// Sets each shard's KV token budget.
-    #[must_use]
-    pub fn max_batch_tokens(mut self, max_batch_tokens: usize) -> Self {
-        self.cfg.admission.max_batch_tokens = max_batch_tokens;
-        self
-    }
-
-    /// Sets the KV page size in tokens.
-    #[must_use]
-    pub fn page_size(mut self, page_size: usize) -> Self {
-        self.cfg.admission.page_size = page_size;
-        self
-    }
-
-    /// Enables per-shard copy-on-write prefix caching.
-    #[must_use]
-    pub fn prefix_cache(mut self, enabled: bool) -> Self {
-        self.cfg.admission.prefix_cache = enabled;
-        self
-    }
-
-    /// Sets the prompt-prefill charge factor.
-    #[must_use]
-    pub fn prefill_factor(mut self, prefill_factor: f64) -> Self {
-        self.cfg.prefill_factor = prefill_factor;
-        self
-    }
-
-    /// Sets the per-shard chunked-prefill budget in KV pages per step
-    /// (see [`ServingConfig::prefill_chunk_pages`]; `0` keeps prefill
-    /// unchunked).
-    #[must_use]
-    pub fn prefill_chunk_pages(mut self, pages: usize) -> Self {
-        self.cfg.prefill_chunk_pages = pages;
-        self
-    }
-
-    /// Sets each shard's host-tier capacity in KV pages (see
-    /// [`ServingConfig::host_pages`]; `0` disables the tier).
-    #[must_use]
-    pub fn host_pages(mut self, pages: usize) -> Self {
-        self.cfg.host_pages = pages;
-        self
-    }
-
-    /// Sets the host-tier copy-back charge factor (see
-    /// [`ServingConfig::swap_cost_factor`]).
-    #[must_use]
-    pub fn swap_cost_factor(mut self, factor: f64) -> Self {
-        self.cfg.swap_cost_factor = factor;
-        self
-    }
-
-    /// Sets the cross-shard page-shipping charge factor (see
-    /// [`ServingConfig::ship_cost_factor`]; `0.0` disables shipping).
-    #[must_use]
-    pub fn ship_cost_factor(mut self, factor: f64) -> Self {
-        self.cfg.ship_cost_factor = factor;
-        self
-    }
-
-    /// Enables admission-time rejection of requests whose TTFT deadline
-    /// already elapsed in the queue (see
-    /// [`ServingConfig::reject_expired_ttft`]).
-    #[must_use]
-    pub fn reject_expired_ttft(mut self, reject: bool) -> Self {
-        self.cfg.reject_expired_ttft = reject;
-        self
-    }
-
-    /// Sets the attention head count per request per step.
-    #[must_use]
-    pub fn heads(mut self, heads: usize) -> Self {
-        self.cfg.heads = heads;
-        self
-    }
-
-    /// Sets the FC/FFN weight bytes streamed per step per shard.
-    #[must_use]
-    pub fn weight_bytes(mut self, weight_bytes: u64) -> Self {
-        self.cfg.weight_bytes = weight_bytes;
-        self
-    }
-
-    /// Sets the base seed of the synthetic per-request workloads. Every
-    /// shard shares it, so a request's attention cost is placement-
-    /// independent.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
     /// Selects the scheduling policy every shard runs.
     #[must_use]
     pub fn policy(mut self, kind: PolicyKind) -> Self {
         self.policy = kind;
-        self
-    }
-
-    /// Sets the per-shard preemption behavior.
-    #[must_use]
-    pub fn preemption(mut self, preemption: PreemptionConfig) -> Self {
-        self.cfg.preemption = preemption;
-        self
-    }
-
-    /// Enables preemption on every shard.
-    #[must_use]
-    pub fn enable_preemption(mut self) -> Self {
-        self.cfg.preemption.enabled = true;
-        self
-    }
-
-    /// Sets how much of a preemption victim's paged KV survives eviction.
-    #[must_use]
-    pub fn retention(mut self, retention: RetentionPolicy) -> Self {
-        self.cfg.preemption.retention = retention;
         self
     }
 
@@ -1145,14 +1019,31 @@ impl ClusterEngine {
 mod tests {
     use super::*;
     use crate::config::AccelMode;
+    use crate::serve::{PreemptionConfig, RetentionPolicy};
+
+    fn small_config() -> ServingConfig {
+        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr");
+        let mut cfg = ServingConfig::new(accel);
+        cfg.heads = 2;
+        cfg.weight_bytes = 1_000_000;
+        cfg.admission.max_batch = 2;
+        cfg.admission.max_batch_tokens = 640;
+        cfg
+    }
+
+    fn builder_for(cfg: ServingConfig) -> ClusterEngineBuilder {
+        ClusterEngine::builder(cfg.accel.clone()).config(cfg)
+    }
 
     fn small_builder() -> ClusterEngineBuilder {
-        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr");
-        ClusterEngine::builder(accel)
-            .heads(2)
-            .weight_bytes(1_000_000)
-            .max_batch(2)
-            .max_batch_tokens(640)
+        builder_for(small_config())
+    }
+
+    /// [`small_builder`] with preemption on at the given retention.
+    fn preempting_builder(retention: RetentionPolicy) -> ClusterEngineBuilder {
+        let mut cfg = small_config();
+        cfg.preemption = PreemptionConfig::enabled().with_retention(retention);
+        builder_for(cfg)
     }
 
     #[test]
@@ -1247,11 +1138,9 @@ mod tests {
 
     #[test]
     fn stealing_never_migrates_admitted_requests() {
-        let mut cluster = small_builder()
+        let mut cluster = preempting_builder(RetentionPolicy::Fraction(0.5))
             .shards(2)
             .stealing(true)
-            .enable_preemption()
-            .retention(RetentionPolicy::Fraction(0.5))
             .build();
         for id in 0..8 {
             cluster
@@ -1310,12 +1199,10 @@ mod tests {
     #[test]
     fn threaded_stepping_matches_the_sequential_schedule() {
         let run = |threads: usize| {
-            let mut cluster = small_builder()
+            let mut cluster = preempting_builder(RetentionPolicy::Fraction(0.75))
                 .shards(3)
                 .routing(RoutingKind::LeastLoaded)
                 .stealing(true)
-                .enable_preemption()
-                .retention(RetentionPolicy::Fraction(0.75))
                 .threads(threads)
                 .build();
             for id in 0..9 {
@@ -1457,11 +1344,12 @@ mod tests {
             }
         }
         let run = |ship: f64| {
-            let mut cluster = small_builder()
+            let mut cfg = small_config();
+            cfg.ship_cost_factor = ship;
+            let mut cluster = builder_for(cfg)
                 .shards(2)
                 .routing_boxed(Box::new(ByIdRange))
                 .stealing(true)
-                .ship_cost_factor(ship)
                 .build();
             cluster.enqueue(ServingRequest::new(0, 64, 20)).unwrap();
             cluster.enqueue(ServingRequest::new(1, 64, 20)).unwrap();

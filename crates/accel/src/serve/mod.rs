@@ -57,7 +57,6 @@ pub mod scenario;
 pub mod stats;
 pub mod token_backed;
 pub mod trace;
-pub mod workloads;
 
 pub use batch_state::AdmissionConfig;
 pub use cluster::{
@@ -75,7 +74,7 @@ pub use router::{LeastLoaded, PrefixAffinity, RoundRobin, RoutingKind, RoutingPo
 pub use scenario::{Scenario, ScenarioKind};
 pub use stats::{RequestStats, ServingReport, SessionStats, StepReport};
 pub use token_backed::{run_token_backed, TokenBackedBatch, TokenBackedRun};
-pub use trace::{RunReport, Trace, TraceError, TraceMeta, TraceRecorder, TraceReplay};
+pub use trace::{Trace, TraceError, TraceMeta, TraceRecorder, TraceReplay};
 
 use topick_core::{PruneStats, QVector, QuantBuffer};
 use topick_model::{SynthInstance, SynthProfile};

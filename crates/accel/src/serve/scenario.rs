@@ -6,9 +6,7 @@
 //! A scenario owns two things: the *request stream* ([`Scenario::generate`]
 //! — a `Vec<ServingRequest>` whose `arrival_step`s model open-loop traffic)
 //! and the *canonical engine sizing* that stream is shaped for
-//! ([`Scenario::serving_config`]), the same pairing
-//! [`workloads`](super::workloads) established for the original two
-//! generators. [`ScenarioKind`] is the registry: every scenario is
+//! ([`Scenario::serving_config`]). [`ScenarioKind`] is the registry: every scenario is
 //! nameable from CLI flags, bench configs and recorded traces, following
 //! the [`PolicyKind`](super::PolicyKind) /
 //! [`RoutingKind`](super::RoutingKind) idiom.
@@ -60,9 +58,10 @@ pub trait Scenario: fmt::Debug + Send {
 }
 
 /// The canonical chat-shaped sizing shared by the prefix-heavy scenarios:
-/// the [`workloads::shared_prefix_chat`](super::workloads::shared_prefix_chat)
-/// engine with the prefix cache on and prompt prefill priced, so cache
-/// hits are visible in cycles.
+/// the [`SharedPrefixChat`] engine with the prefix cache on and prompt
+/// prefill priced, so cache hits are visible in cycles. Callers contrasting
+/// cache off flip [`prefix_cache`](super::AdmissionConfig::prefix_cache)
+/// on the returned config.
 fn chat_shaped_config(accel: AccelConfig) -> ServingConfig {
     let mut cfg = ServingConfig::new(accel);
     cfg.heads = 4;
@@ -80,6 +79,13 @@ fn chat_shaped_config(accel: AccelConfig) -> ServingConfig {
 /// requests from one client arrive first and fill the batch, then `mice`
 /// short, high-priority requests from three other clients trickle in
 /// behind them — the canonical policy/preemption stress shape.
+///
+/// Both groups are heterogeneous — elephants differ in token targets (so
+/// they retire at different steps) and mice differ in length, priority
+/// and arrival (so admission *order* matters even without preemption, and
+/// every scheduling policy produces a distinguishable schedule). Four
+/// elephants provision 2020 final-context tokens against the canonical
+/// engine's 2200-token budget, saturating both slots and pages.
 ///
 /// The stream is deliberately **seed-independent** (the arrival pattern
 /// *is* the scenario); the schedule-digest goldens in `tests/serving.rs`
@@ -141,10 +147,20 @@ impl Scenario for SkewedElephantMice {
 
 /// The shared-prefix "chat" scenario: `tenants` tenants, each with its own
 /// page-aligned system prompt (96–160 tokens), each sending `per_tenant`
-/// requests that append a short unique user turn. See
-/// [`workloads::shared_prefix_chat`](super::workloads::shared_prefix_chat)
-/// — this struct is that generator refactored onto the [`Scenario`] API,
-/// byte-for-byte (the per-tenant byte-identity tests pin it).
+/// requests that append a short unique user turn (8–63 tokens). Targets,
+/// priorities and staggered arrivals vary per request, so every
+/// scheduling policy still has something to order.
+///
+/// This is the regime where prefix caching pays: with the cache on, only
+/// the first request per tenant prefills its system prompt; the rest
+/// adopt those pages copy-on-write and prefill only their unique suffix.
+///
+/// The stream is **shape-stable**: each tenant draws from its own
+/// seed-derived stream, so tenant `t`'s first `k` requests are
+/// byte-identical no matter how many tenants or requests per tenant the
+/// caller asks for, and request ids depend only on `(tenant, i)`. That is
+/// what keeps multi-shard golden runs reproducible when a sweep widens the
+/// workload (the tests below pin it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedPrefixChat {
     /// Independent tenants, each with its own system prompt (canonically 4).
@@ -745,5 +761,117 @@ mod tests {
         assert!(reqs.iter().all(|r| r.prompt_len >= 384));
         assert!(reqs.iter().all(|r| r.max_new_tokens <= 5));
         assert!(reqs.iter().all(|r| r.prefix_len == 0));
+    }
+
+    #[test]
+    fn four_elephants_saturate_the_canonical_budget() {
+        let reqs = SkewedElephantMice::default().generate(0);
+        assert_eq!(reqs.len(), 16);
+        let elephant_final: usize = reqs[..4]
+            .iter()
+            .map(|r| r.prompt_len + r.max_new_tokens)
+            .sum();
+        assert_eq!(elephant_final, 2020);
+        assert!(elephant_final <= 2200);
+        // Mice are heterogeneous in every scheduling-relevant dimension.
+        let mice = &reqs[4..];
+        assert!(mice.iter().any(|m| m.priority != mice[0].priority));
+        assert!(mice
+            .iter()
+            .any(|m| m.max_new_tokens != mice[0].max_new_tokens));
+        assert!(mice.iter().any(|m| m.arrival_step != mice[0].arrival_step));
+        assert!(mice.iter().all(|m| m.arrival_step >= 2));
+    }
+
+    fn chat(seed: u64, tenants: u64, per_tenant: u64) -> Vec<ServingRequest> {
+        SharedPrefixChat {
+            tenants,
+            per_tenant,
+        }
+        .generate(seed)
+    }
+
+    #[test]
+    fn shared_prefix_chat_is_deterministic_in_its_seed() {
+        let a = chat(42, 4, 6);
+        let b = chat(42, 4, 6);
+        assert_eq!(a, b, "same seed must reproduce the identical workload");
+        // Byte-for-byte, not just structurally: every field of every
+        // request, in order.
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let c = chat(43, 4, 6);
+        assert_ne!(a, c, "different seeds must differ");
+        assert_eq!(a.len(), 24);
+    }
+
+    #[test]
+    fn skewed_elephant_mice_is_deterministic() {
+        let a = SkewedElephantMice::default().generate(0);
+        let b = SkewedElephantMice::default().generate(0);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn tenant_streams_are_stable_across_workload_shapes() {
+        // A tenant's requests (ids included) must not change when the
+        // caller asks for more tenants or more requests per tenant — the
+        // property that keeps multi-shard goldens reproducible when a
+        // sweep widens the workload.
+        let narrow = chat(9, 2, 3);
+        let more_tenants = chat(9, 5, 3);
+        for tenant in 0..2u64 {
+            let a: Vec<_> = narrow.iter().filter(|r| r.client_id == tenant).collect();
+            let b: Vec<_> = more_tenants
+                .iter()
+                .filter(|r| r.client_id == tenant)
+                .collect();
+            assert_eq!(a, b, "tenant {tenant} changed when tenants were added");
+        }
+        let deeper = chat(9, 2, 7);
+        for tenant in 0..2u64 {
+            let a: Vec<_> = narrow.iter().filter(|r| r.client_id == tenant).collect();
+            let b: Vec<_> = deeper
+                .iter()
+                .filter(|r| r.client_id == tenant)
+                .take(3)
+                .collect();
+            assert_eq!(a, b, "tenant {tenant} changed when the workload deepened");
+        }
+    }
+
+    #[test]
+    fn shared_prefix_chat_shares_within_and_not_across_tenants() {
+        let reqs = chat(7, 3, 5);
+        for tenant in 0..3u64 {
+            let group: Vec<_> = reqs.iter().filter(|r| r.client_id == tenant).collect();
+            assert_eq!(group.len(), 5);
+            // One tag and one prefix length per tenant, page-aligned at
+            // the canonical 16-token page size and inside every prompt.
+            assert!(group.iter().all(|r| r.prefix_tag == group[0].prefix_tag));
+            assert!(group.iter().all(|r| r.prefix_len == group[0].prefix_len));
+            assert_eq!(group[0].prefix_len % 16, 0);
+            assert!((96..=160).contains(&group[0].prefix_len));
+            assert!(group.iter().all(|r| r.prompt_len > r.prefix_len));
+            // Identical leading page hashes within the tenant, so the
+            // prefix cache can actually adopt across its requests...
+            let keys: Vec<_> = group.iter().map(|r| r.page_keys(16)).collect();
+            let shared_pages = group[0].prefix_len / 16;
+            for k in &keys[1..] {
+                assert_eq!(k[..shared_pages], keys[0][..shared_pages]);
+            }
+        }
+        // ...and nothing shared between tenants.
+        let (a, b) = (
+            reqs.iter().find(|r| r.client_id == 0).unwrap(),
+            reqs.iter().find(|r| r.client_id == 1).unwrap(),
+        );
+        assert_ne!(a.page_keys(16)[0], b.page_keys(16)[0]);
+    }
+
+    #[test]
+    fn unique_ids_across_the_whole_workload() {
+        let reqs = chat(1, 5, 8);
+        let ids: std::collections::BTreeSet<u64> = reqs.iter().map(|r| r.id).collect();
+        assert_eq!(ids.len(), reqs.len());
     }
 }

@@ -272,7 +272,7 @@ impl ServingReport {
     /// Mean steps finished requests waited in the queue before admission.
     #[must_use]
     pub fn mean_queue_wait_steps(&self) -> f64 {
-        self.mean_session(|s| s.queue_wait_steps as f64)
+        mean_queue_wait_steps(self.requests.iter())
     }
 
     /// Total KV re-prefill cycles charged across all steps — the price of
@@ -367,7 +367,7 @@ impl ServingReport {
     /// Mean time-to-first-token of finished requests, in steps.
     #[must_use]
     pub fn mean_ttft_steps(&self) -> f64 {
-        self.mean_session(|s| s.time_to_first_token_steps as f64)
+        mean_ttft_steps(self.requests.iter())
     }
 
     /// Mean time-to-first-token of finished requests, in cycles: for each
@@ -397,7 +397,7 @@ impl ServingReport {
     /// token of a deadline-free request counts).
     #[must_use]
     pub fn total_good_tokens(&self) -> usize {
-        self.requests.iter().map(|r| r.good_tokens).sum()
+        total_good_tokens(self.requests.iter())
     }
 
     /// Goodput under SLO in tokens per second at `clock_hz`: like
@@ -416,12 +416,7 @@ impl ServingReport {
     /// promised, nothing was missed).
     #[must_use]
     pub fn deadline_attainment(&self) -> f64 {
-        let carrying: Vec<&RequestStats> =
-            self.requests.iter().filter(|r| r.has_deadline()).collect();
-        if carrying.is_empty() {
-            return 1.0;
-        }
-        carrying.iter().filter(|r| r.slo_attained()).count() as f64 / carrying.len() as f64
+        deadline_attainment(self.requests.iter())
     }
 
     /// The p99 time-to-first-token across finished requests, in steps
@@ -429,17 +424,7 @@ impl ServingReport {
     /// tail-latency number chunked prefill exists to protect.
     #[must_use]
     pub fn ttft_p99_steps(&self) -> usize {
-        let mut ttfts: Vec<usize> = self
-            .requests
-            .iter()
-            .filter_map(|r| Some(r.first_token_at? - r.enqueued_at + 1))
-            .collect();
-        if ttfts.is_empty() {
-            return 0;
-        }
-        ttfts.sort_unstable();
-        let rank = (ttfts.len() as f64 * 0.99).ceil() as usize;
-        ttfts[rank.clamp(1, ttfts.len()) - 1]
+        ttft_p99_steps(self.requests.iter())
     }
 
     /// The largest prefill charge any single step carried, in cycles —
@@ -454,18 +439,65 @@ impl ServingReport {
             .max()
             .unwrap_or(0)
     }
+}
 
-    fn mean_session(&self, f: impl Fn(&SessionStats) -> f64) -> f64 {
-        let sessions: Vec<SessionStats> = self
-            .requests
-            .iter()
-            .filter_map(RequestStats::session)
-            .collect();
-        if sessions.is_empty() {
-            return 0.0;
-        }
-        sessions.iter().map(f).sum::<f64>() / sessions.len() as f64
+// The request-population metrics shared by `ServingReport` (one engine's
+// requests) and `ClusterReport` (every shard's requests pooled), so the
+// two report types cannot disagree on a definition.
+
+/// Tokens delivered within SLO across `requests`.
+pub(super) fn total_good_tokens<'a>(requests: impl Iterator<Item = &'a RequestStats>) -> usize {
+    requests.map(|r| r.good_tokens).sum()
+}
+
+/// Share of deadline-carrying requests that met every deadline (1 when
+/// none carried one).
+pub(super) fn deadline_attainment<'a>(requests: impl Iterator<Item = &'a RequestStats>) -> f64 {
+    let mut carrying = 0usize;
+    let mut attained = 0usize;
+    for r in requests.filter(|r| r.has_deadline()) {
+        carrying += 1;
+        attained += usize::from(r.slo_attained());
     }
+    if carrying == 0 {
+        return 1.0;
+    }
+    attained as f64 / carrying as f64
+}
+
+/// Nearest-rank p99 time-to-first-token in steps over one pooled
+/// population (0 when nothing produced a token).
+pub(super) fn ttft_p99_steps<'a>(requests: impl Iterator<Item = &'a RequestStats>) -> usize {
+    let mut ttfts: Vec<usize> = requests
+        .filter_map(|r| Some(r.first_token_at? - r.enqueued_at + 1))
+        .collect();
+    if ttfts.is_empty() {
+        return 0;
+    }
+    ttfts.sort_unstable();
+    let rank = (ttfts.len() as f64 * 0.99).ceil() as usize;
+    ttfts[rank.clamp(1, ttfts.len()) - 1]
+}
+
+/// Mean time-to-first-token of finished requests, in steps.
+pub(super) fn mean_ttft_steps<'a>(requests: impl Iterator<Item = &'a RequestStats>) -> f64 {
+    mean_session(requests, |s| s.time_to_first_token_steps as f64)
+}
+
+/// Mean steps finished requests waited in the queue before admission.
+pub(super) fn mean_queue_wait_steps<'a>(requests: impl Iterator<Item = &'a RequestStats>) -> f64 {
+    mean_session(requests, |s| s.queue_wait_steps as f64)
+}
+
+fn mean_session<'a>(
+    requests: impl Iterator<Item = &'a RequestStats>,
+    f: impl Fn(&SessionStats) -> f64,
+) -> f64 {
+    let sessions: Vec<SessionStats> = requests.filter_map(RequestStats::session).collect();
+    if sessions.is_empty() {
+        return 0.0;
+    }
+    sessions.iter().map(f).sum::<f64>() / sessions.len() as f64
 }
 
 #[cfg(test)]

@@ -1,17 +1,18 @@
-//! Serve-trace record/replay: freeze any serving run — single engine or
-//! sharded cluster — into a line-oriented JSON artifact, and replay it to
-//! a bit-identical schedule.
+//! Serve-trace record/replay: freeze any serving run into a line-oriented
+//! JSON artifact, and replay it to a bit-identical schedule. Every run is
+//! a [`ClusterEngine`]; a 1-shard round-robin cluster is schedule-identical
+//! to a bare [`ServingEngine`](super::ServingEngine), so one driver serves
+//! single-engine and sharded traces alike.
 //!
 //! A [`Trace`] holds three things: a [`TraceMeta`] snapshot of everything
 //! that shaped the schedule (engine sizing, scheduling policy, preemption
 //! and retention, sharding, routing, stealing, thread count, step bound),
 //! the originating [`ServingRequest`]s in enqueue order, and the typed
-//! [`ClusterEvent`] stream the run emitted (single-engine events are
-//! wrapped as shard 0). Because every layer of the engine is
-//! deterministic, that snapshot is sufficient: rebuilding the engine from
-//! the meta and re-enqueueing the recorded requests in recorded order
-//! reproduces routing, admission, preemption and stealing decision for
-//! decision.
+//! [`ClusterEvent`] stream the run emitted. Because every layer of the
+//! engine is deterministic, that snapshot is sufficient: rebuilding the
+//! cluster from the meta and re-enqueueing the recorded requests in
+//! recorded order reproduces routing, admission, preemption and stealing
+//! decision for decision.
 //!
 //! The correctness anchor is the **fixed point**: record a run, replay
 //! it, record the replay — the two traces' digests (an FNV-1a over the
@@ -35,8 +36,7 @@ use super::events::ServeEvent;
 use super::policy::PolicyKind;
 use super::queue::ServingRequest;
 use super::router::RoutingKind;
-use super::stats::ServingReport;
-use super::{AdmissionConfig, PreemptionConfig, ServingConfig, ServingEngine};
+use super::{AdmissionConfig, PreemptionConfig, ServingConfig};
 use crate::config::{AccelConfig, AccelMode};
 
 /// Errors from recording, serializing, parsing or replaying a trace.
@@ -128,9 +128,9 @@ pub struct TraceMeta {
     pub seed: u64,
     /// Accelerator clock in Hz.
     pub clock_hz: f64,
-    /// Shard count (`1` records a bare [`ServingEngine`]).
+    /// Shard count (`1` is the single-engine schedule).
     pub shards: usize,
-    /// Routing policy name (meaningful when `shards > 1`).
+    /// Routing policy name.
     pub routing: String,
     /// Whether work stealing was on.
     pub stealing: bool,
@@ -142,7 +142,7 @@ pub struct TraceMeta {
 
 impl TraceMeta {
     /// Snapshots a serving configuration plus the policy driving it, for
-    /// a single-engine run (`shards = 1`). Layer cluster shape on with
+    /// a 1-shard round-robin run. Layer cluster shape on with
     /// [`for_cluster`](Self::for_cluster) and scenario provenance with
     /// [`for_scenario`](Self::for_scenario).
     #[must_use]
@@ -422,16 +422,6 @@ impl TraceRecorder {
         self.events.extend(events);
     }
 
-    /// Records a single engine's events, wrapped as shard 0 — one trace
-    /// format serves both engines and clusters.
-    pub fn serve_events(&mut self, events: impl IntoIterator<Item = ServeEvent>) {
-        self.events.extend(
-            events
-                .into_iter()
-                .map(|event| ClusterEvent::Shard { shard_id: 0, event }),
-        );
-    }
-
     /// Seals the recording into a digested [`Trace`].
     #[must_use]
     pub fn finish(self) -> Trace {
@@ -452,35 +442,15 @@ pub struct Trace {
     pub meta: TraceMeta,
     /// Originating requests, in enqueue order.
     pub requests: Vec<ServingRequest>,
-    /// The typed event stream (single-engine events appear as shard 0).
+    /// The typed event stream.
     pub events: Vec<ClusterEvent>,
     /// [`digest_events`] over [`events`](Self::events) — the schedule
     /// fingerprint record/replay is compared by.
     pub digest: u64,
 }
 
-/// The final report of a recorded run — whichever engine flavor ran.
-#[derive(Debug, Clone)]
-pub enum RunReport {
-    /// A single-engine run's report.
-    Engine(ServingReport),
-    /// A sharded cluster run's report.
-    Cluster(ClusterReport),
-}
-
-impl RunReport {
-    /// Total decode tokens generated, across flavors.
-    #[must_use]
-    pub fn tokens_generated(&self) -> usize {
-        match self {
-            Self::Engine(r) => r.tokens_generated,
-            Self::Cluster(r) => r.tokens_generated(),
-        }
-    }
-}
-
-/// Builds the engine or cluster `meta` describes, enqueues `requests` in
-/// order, runs to completion and seals the whole run into a [`Trace`].
+/// Builds the cluster `meta` describes, enqueues `requests` in order,
+/// runs to completion and seals the whole run into a [`Trace`].
 ///
 /// This is the one code path both *record* and *replay* go through —
 /// replay is literally re-recording from the same inputs, which is what
@@ -495,46 +465,31 @@ impl RunReport {
 pub fn run_recorded(
     meta: &TraceMeta,
     requests: &[ServingRequest],
-) -> Result<(Trace, RunReport), TraceError> {
+) -> Result<(Trace, ClusterReport), TraceError> {
     let cfg = meta.serving_config()?;
     let policy: PolicyKind = meta
         .policy
         .parse()
         .map_err(|e: String| TraceError::Parse(format!("invalid policy '{}': {e}", meta.policy)))?;
+    let routing: RoutingKind = meta.routing.parse().map_err(|e: String| {
+        TraceError::Parse(format!("invalid routing '{}': {e}", meta.routing))
+    })?;
+    let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+        .config(cfg)
+        .policy(policy)
+        .shards(meta.shards)
+        .routing(routing)
+        .stealing(meta.stealing)
+        .threads(meta.threads)
+        .build();
     let mut recorder = TraceRecorder::new(meta.clone());
     for req in requests {
         recorder.request(req);
+        cluster.enqueue(*req)?;
     }
-    if meta.shards <= 1 {
-        let mut engine = ServingEngine::builder(cfg.accel.clone())
-            .config(cfg)
-            .policy(policy)
-            .build();
-        for req in requests {
-            engine.enqueue(*req)?;
-        }
-        let report = engine.run_to_completion(meta.max_steps)?;
-        recorder.serve_events(engine.drain_events());
-        Ok((recorder.finish(), RunReport::Engine(report)))
-    } else {
-        let routing: RoutingKind = meta.routing.parse().map_err(|e: String| {
-            TraceError::Parse(format!("invalid routing '{}': {e}", meta.routing))
-        })?;
-        let mut cluster = ClusterEngine::builder(cfg.accel.clone())
-            .config(cfg)
-            .policy(policy)
-            .shards(meta.shards)
-            .routing(routing)
-            .stealing(meta.stealing)
-            .threads(meta.threads)
-            .build();
-        for req in requests {
-            cluster.enqueue(*req)?;
-        }
-        let report = cluster.run_to_completion(meta.max_steps)?;
-        recorder.events(cluster.drain_events());
-        Ok((recorder.finish(), RunReport::Cluster(report)))
-    }
+    let report = cluster.run_to_completion(meta.max_steps)?;
+    recorder.events(cluster.drain_events());
+    Ok((recorder.finish(), report))
 }
 
 /// Minimal flat-JSON line builder (writer side of the trace format).
@@ -870,7 +825,7 @@ impl Trace {
     /// # Errors
     ///
     /// As [`run_recorded`].
-    pub fn replay(&self) -> Result<(Trace, RunReport), TraceError> {
+    pub fn replay(&self) -> Result<(Trace, ClusterReport), TraceError> {
         run_recorded(&self.meta, &self.requests)
     }
 
@@ -1229,7 +1184,7 @@ impl TraceReplay {
     /// As [`run_recorded`], plus [`TraceError::Parse`] if the replayed
     /// schedule diverges from the recording (an engine behavior change —
     /// exactly what the golden-trace regression exists to catch).
-    pub fn run(&self) -> Result<(Trace, RunReport), TraceError> {
+    pub fn run(&self) -> Result<(Trace, ClusterReport), TraceError> {
         let (trace, report) = self.trace.replay()?;
         if trace.digest != self.trace.digest {
             let detail = self
@@ -1455,10 +1410,8 @@ mod tests {
         let (second, report) = first.replay().unwrap();
         assert_eq!(first.digest, second.digest);
         assert_eq!(first.events, second.events);
-        match report {
-            RunReport::Engine(r) => assert!(r.tokens_generated > 0),
-            RunReport::Cluster(_) => panic!("shards=1 must replay on a bare engine"),
-        }
+        assert_eq!(report.shards.len(), 1);
+        assert!(report.tokens_generated() > 0);
         // And the parsed form replays identically too.
         let reparsed = Trace::parse(&first.render()).unwrap();
         let (third, _) = TraceReplay::new(reparsed).run().unwrap();

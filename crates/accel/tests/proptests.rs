@@ -5,9 +5,9 @@
 use proptest::prelude::*;
 use topick_accel::serve::trace::run_recorded;
 use topick_accel::{
-    AccelConfig, AccelMode, ClusterEngine, ClusterEvent, KvPager, PolicyKind, RetentionPolicy,
-    RoutingKind, ScenarioKind, ServeEvent, ServingEngine, ServingRequest, ToPickAccelerator,
-    TraceMeta,
+    AccelConfig, AccelMode, ClusterEngine, ClusterEvent, KvPager, PolicyKind, PreemptionConfig,
+    RetentionPolicy, RoutingKind, ScenarioKind, ServeEvent, ServingConfig, ServingEngine,
+    ServingRequest, ToPickAccelerator, TraceMeta,
 };
 use topick_core::{exact_probabilities, PrecisionConfig, QMatrix, QVector, Rows};
 
@@ -28,6 +28,21 @@ fn random_instance(seed: u64, n: usize, dim: usize) -> (QVector, QMatrix, Vec<f3
         QMatrix::quantize_flat(&keys, dim, pc).expect("non-empty"),
         values,
     )
+}
+
+/// Two-head, two-slot shard sizing with a shared-prefix cache and priced
+/// prefill: small enough that a few requests contend for pages.
+fn small_prefix_config(seed: u64, max_batch_tokens: usize) -> ServingConfig {
+    let mut cfg = ServingConfig::new(AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr"));
+    cfg.heads = 2;
+    cfg.weight_bytes = 1_000_000;
+    cfg.admission.max_batch = 2;
+    cfg.admission.max_batch_tokens = max_batch_tokens;
+    cfg.admission.page_size = 16;
+    cfg.admission.prefix_cache = true;
+    cfg.prefill_factor = 1.0;
+    cfg.seed = seed;
+    cfg
 }
 
 proptest! {
@@ -483,36 +498,27 @@ proptest! {
     ) {
         let routing = RoutingKind::all()[routing_idx];
         let policy = PolicyKind::all()[policy_idx];
-        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr");
-        let mut builder = ClusterEngine::builder(accel)
-            .heads(2)
-            .weight_bytes(1_000_000)
-            .max_batch(2)
-            .max_batch_tokens(400)
-            .page_size(16)
-            .seed(seed)
-            .prefix_cache(true)
-            .prefill_factor(1.0)
-            .prefill_chunk_pages(prefill_chunk)
+        let mut cfg = small_prefix_config(seed, 400);
+        cfg.prefill_chunk_pages = prefill_chunk;
+        if tiered {
+            // The tiered dimensions: a bounded host swap tier and priced
+            // cross-shard page shipping on top of the same invariants.
+            cfg.host_pages = 32;
+            cfg.swap_cost_factor = 0.25;
+            cfg.ship_cost_factor = 0.25;
+        }
+        if preempt {
+            cfg.preemption =
+                PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.5));
+        }
+        let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+            .config(cfg)
             .policy(policy)
             .shards(shards)
             .routing(routing)
             .stealing(stealing)
-            .threads(threads);
-        if tiered {
-            // The tiered dimensions: a bounded host swap tier and priced
-            // cross-shard page shipping on top of the same invariants.
-            builder = builder
-                .host_pages(32)
-                .swap_cost_factor(0.25)
-                .ship_cost_factor(0.25);
-        }
-        if preempt {
-            builder = builder
-                .enable_preemption()
-                .retention(RetentionPolicy::Fraction(0.5));
-        }
-        let mut cluster = builder.build();
+            .threads(threads)
+            .build();
 
         let mut next_id = 0u64;
         let mut routed: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
@@ -629,25 +635,17 @@ proptest! {
         cutoff in 1usize..40,
         tiered in any::<bool>(),
     ) {
-        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("thr");
-        let mut builder = ClusterEngine::builder(accel)
-            .heads(2)
-            .weight_bytes(1_000_000)
-            .max_batch(2)
-            .max_batch_tokens(600)
-            .page_size(16)
-            .seed(seed)
-            .prefix_cache(true)
-            .prefill_factor(1.0)
-            .shards(shards)
-            .routing(RoutingKind::PrefixAffinity);
+        let mut cfg = small_prefix_config(seed, 600);
         if tiered {
-            builder = builder
-                .host_pages(16)
-                .swap_cost_factor(0.25)
-                .ship_cost_factor(0.25);
+            cfg.host_pages = 16;
+            cfg.swap_cost_factor = 0.25;
+            cfg.ship_cost_factor = 0.25;
         }
-        let mut cluster = builder.build();
+        let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+            .config(cfg)
+            .shards(shards)
+            .routing(RoutingKind::PrefixAffinity)
+            .build();
         for i in 0..10u64 {
             let mix = seed.wrapping_mul(0x9E37_79B9).wrapping_add(i);
             cluster

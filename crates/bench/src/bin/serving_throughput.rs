@@ -17,8 +17,11 @@
 //!    every multi-shard point gains a threaded twin stepping shards on
 //!    `N` OS threads.
 //!
-//! Every record carries both the *modeled* cycle count and the *measured*
-//! wall-clock milliseconds of the run, side by side.
+//! Every cost-model run goes through one driver, a [`ClusterEngine`]: a
+//! 1-shard round-robin cluster is schedule-identical to a bare engine, so
+//! "single engine" points are simply 1-shard runs. Every record carries
+//! both the *modeled* cycle count and the *measured* wall-clock
+//! milliseconds of the run, side by side.
 //!
 //! `--threads-sweep` replaces all of the above with the dedicated
 //! threading document checked in as `BENCH_serving_threads.json`:
@@ -28,8 +31,9 @@
 //!
 //! `--scenario-sweep` likewise replaces everything with the scenario
 //! document checked in as `BENCH_serving_scenarios.json`: every scenario
-//! in the registry on a single engine plus a 4-shard cluster contrast of
-//! round-robin vs prefix-affinity routing, each record carrying tokens/s,
+//! in the registry on one shard plus a 4-shard contrast of round-robin vs
+//! prefix-affinity routing, each record (one shape for every shard count)
+//! carrying tokens/s,
 //! prefix hit rate, a TTFT-bounded goodput proxy, measured wall_ms and
 //! the run's schedule digest — with the agentic scenario's
 //! affinity-over-round-robin hit-rate margin pinned at the top level.
@@ -75,14 +79,89 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use topick_accel::serve::trace::{run_recorded, RunReport, TraceMeta};
-use topick_accel::serve::workloads::{shared_prefix_chat, skewed_elephant_mice};
+use topick_accel::serve::scenario::{Scenario, SharedPrefixChat, SkewedElephantMice};
+use topick_accel::serve::trace::{run_recorded, TraceMeta};
 use topick_accel::{
-    AccelConfig, AccelMode, ClusterEngine, ClusterReport, PolicyKind, RequestStats,
-    RetentionPolicy, RoutingKind, ScenarioKind, ServingEngine, ServingReport, ServingRequest,
+    AccelConfig, AccelMode, ClusterEngine, ClusterReport, PolicyKind, PreemptionConfig,
+    RequestStats, RetentionPolicy, RoutingKind, ScenarioKind, ServingConfig, ServingEngine,
+    ServingReport, ServingRequest,
 };
 use topick_bench::json::{JsonObject, JsonValue};
 use topick_model::ModelSpec;
+
+/// The cluster shape of one run.
+#[derive(Clone, Copy)]
+struct Shape {
+    shards: usize,
+    routing: RoutingKind,
+    stealing: bool,
+    threads: usize,
+}
+
+/// One shard, round-robin, no stealing: the bare engine's schedule.
+const ONE_SHARD: Shape = Shape {
+    shards: 1,
+    routing: RoutingKind::RoundRobin,
+    stealing: false,
+    threads: 1,
+};
+
+/// Serves `requests` on a cluster of `shape` whose shards all run `cfg`
+/// under `policy`, and returns the report with the accelerator clock —
+/// the one driver behind every cost-model point of this bench.
+fn serve(
+    cfg: ServingConfig,
+    policy: PolicyKind,
+    shape: Shape,
+    requests: Vec<ServingRequest>,
+) -> (ClusterReport, f64) {
+    let clock_hz = cfg.clock_hz;
+    let mut cluster = ClusterEngine::builder(cfg.accel.clone())
+        .config(cfg)
+        .policy(policy)
+        .shards(shape.shards)
+        .routing(shape.routing)
+        .stealing(shape.stealing)
+        .threads(shape.threads)
+        .record_events(false)
+        .build();
+    for r in requests {
+        cluster.enqueue(r).expect("valid request");
+    }
+    let report = cluster.run_to_completion(1_000_000).expect("completes");
+    (report, clock_hz)
+}
+
+/// The paper ToPick accelerator every canonical workload is measured on.
+fn topick_accel() -> AccelConfig {
+    AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold")
+}
+
+/// The canonical skewed engine sizing.
+fn skewed_config() -> ServingConfig {
+    SkewedElephantMice::default().serving_config(topick_accel())
+}
+
+/// The canonical shared-prefix chat sizing, prefix cache on or off.
+fn chat_config(prefix_cache: bool) -> ServingConfig {
+    let mut cfg = SharedPrefixChat::default().serving_config(topick_accel());
+    cfg.admission.prefix_cache = prefix_cache;
+    cfg
+}
+
+/// The canonical skewed workload: four elephants ahead of `mice` mice.
+fn skewed(mice: u64) -> Vec<ServingRequest> {
+    SkewedElephantMice { elephants: 4, mice }.generate(0)
+}
+
+/// The shared-prefix chat workload at seed 11.
+fn chat(tenants: u64, per_tenant: u64) -> Vec<ServingRequest> {
+    SharedPrefixChat {
+        tenants,
+        per_tenant,
+    }
+    .generate(11)
+}
 
 fn run_point(
     mode: AccelMode,
@@ -92,42 +171,31 @@ fn run_point(
     requests: u64,
 ) -> JsonValue {
     let accel = AccelConfig::paper(mode, threshold).expect("valid threshold");
-    let mut engine = ServingEngine::builder(accel)
-        .heads(4)
-        .weight_bytes(10_000_000)
-        .max_batch(max_batch)
-        .max_batch_tokens(max_batch * 600)
-        .seed(1)
-        .record_events(false)
-        .build();
-    let clock_hz = engine.config().clock_hz;
-    for id in 0..requests {
-        engine
-            .enqueue(ServingRequest::new(
-                id,
-                128 + (id as usize % 8) * 48,
-                2 + (id as usize % 4),
-            ))
-            .expect("valid request");
-    }
-    let start = Instant::now();
-    let report = engine.run_to_completion(100_000).expect("completes");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let mut cfg = ServingConfig::new(accel);
+    cfg.heads = 4;
+    cfg.weight_bytes = 10_000_000;
+    cfg.admission.max_batch = max_batch;
+    cfg.admission.max_batch_tokens = max_batch * 600;
+    cfg.seed = 1;
+    let workload = (0..requests)
+        .map(|id| ServingRequest::new(id, 128 + (id as usize % 8) * 48, 2 + (id as usize % 4)))
+        .collect();
+    let (report, clock_hz) = serve(cfg, PolicyKind::Fifo, ONE_SHARD, workload);
     JsonObject::new()
         .field("mode", mode_name)
         .field("threshold", JsonValue::Sci(threshold))
         .field("max_batch", max_batch)
-        .field("tokens", report.tokens_generated)
-        .field("steps", report.steps.len())
+        .field("tokens", report.tokens_generated())
+        .field("steps", report.cluster_steps)
         .field("total_cycles", report.total_cycles)
-        .field("wall_ms", JsonValue::Prec(wall_ms, 3))
+        .field("wall_ms", JsonValue::Prec(report.wall_seconds * 1e3, 3))
         .field(
             "tokens_per_s",
             JsonValue::Prec(report.tokens_per_second(clock_hz), 1),
         )
         .field(
             "v_reduction",
-            JsonValue::Prec(report.prune.v_reduction(), 3),
+            JsonValue::Prec(report.shards[0].prune.v_reduction(), 3),
         )
         .into()
 }
@@ -141,27 +209,12 @@ fn run_policy(
     preemption: bool,
     retention: RetentionPolicy,
     mice: u64,
-) -> (ServingReport, f64, f64) {
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut builder = ServingEngine::builder(accel)
-        .heads(4)
-        .weight_bytes(10_000_000)
-        .max_batch(4)
-        .max_batch_tokens(2200)
-        .seed(7)
-        .record_events(false)
-        .policy(policy);
+) -> (ClusterReport, f64) {
+    let mut cfg = skewed_config();
     if preemption {
-        builder = builder.enable_preemption().retention(retention);
+        cfg.preemption = PreemptionConfig::enabled().with_retention(retention);
     }
-    let mut engine = builder.build();
-    let clock_hz = engine.config().clock_hz;
-    for r in skewed_elephant_mice(4, mice) {
-        engine.enqueue(r).expect("valid request");
-    }
-    let start = Instant::now();
-    let report = engine.run_to_completion(100_000).expect("completes");
-    (report, clock_hz, start.elapsed().as_secs_f64() * 1e3)
+    serve(cfg, policy, ONE_SHARD, skewed(mice))
 }
 
 fn policy_record(
@@ -170,7 +223,8 @@ fn policy_record(
     retention: RetentionPolicy,
     mice: u64,
 ) -> JsonValue {
-    let (report, clock_hz, wall_ms) = run_policy(policy, preemption, retention, mice);
+    let (cluster, clock_hz) = run_policy(policy, preemption, retention, mice);
+    let report = &cluster.shards[0];
     let retention_label = match (preemption, retention) {
         (false, _) => "off",
         (true, RetentionPolicy::None) => "full-reprefill",
@@ -183,7 +237,7 @@ fn policy_record(
         .field("tokens", report.tokens_generated)
         .field("steps", report.steps.len())
         .field("total_cycles", report.total_cycles)
-        .field("wall_ms", JsonValue::Prec(wall_ms, 3))
+        .field("wall_ms", JsonValue::Prec(cluster.wall_seconds * 1e3, 3))
         .field(
             "tokens_per_s",
             JsonValue::Prec(report.tokens_per_second(clock_hz), 1),
@@ -206,25 +260,19 @@ fn policy_record(
 /// Shared-prefix workload with prompt prefill priced: one record per
 /// cache setting, pinning the prefill/re-prefill bill and the hit rate.
 fn prefix_record(prefix_cache: bool, tenants: u64, per_tenant: u64) -> JsonValue {
-    use topick_accel::serve::workloads::shared_prefix_engine;
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut engine = shared_prefix_engine(accel, prefix_cache)
-        .record_events(false)
-        .build();
-    let clock_hz = engine.config().clock_hz;
-    for r in shared_prefix_chat(11, tenants, per_tenant) {
-        engine.enqueue(r).expect("valid request");
-    }
-    let start = Instant::now();
-    let report = engine.run_to_completion(100_000).expect("completes");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (report, clock_hz) = serve(
+        chat_config(prefix_cache),
+        PolicyKind::Fifo,
+        ONE_SHARD,
+        chat(tenants, per_tenant),
+    );
     JsonObject::new()
         .field("policy", report.policy.as_str())
         .field("prefix_cache", prefix_cache)
-        .field("tokens", report.tokens_generated)
-        .field("steps", report.steps.len())
+        .field("tokens", report.tokens_generated())
+        .field("steps", report.cluster_steps)
         .field("total_cycles", report.total_cycles)
-        .field("wall_ms", JsonValue::Prec(wall_ms, 3))
+        .field("wall_ms", JsonValue::Prec(report.wall_seconds * 1e3, 3))
         .field(
             "tokens_per_s",
             JsonValue::Prec(report.tokens_per_second(clock_hz), 1),
@@ -247,64 +295,22 @@ struct WorkloadSize {
 /// One cluster run: the canonical skewed workload (FIFO per shard) or the
 /// shared-prefix chat workload (prefix cache + priced prefill per shard),
 /// at the given shard count, routing policy and worker thread count.
-fn run_cluster(
-    workload: &str,
-    shards: usize,
-    routing: RoutingKind,
-    stealing: bool,
-    threads: usize,
-    size: WorkloadSize,
-) -> (ClusterReport, f64) {
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    // The skewed branch mirrors the canonical policy-sweep engine; the
-    // shared-prefix branch is the canonical cluster from serve::workloads
-    // so the bench stays comparable with the equivalence tests.
-    let builder = if workload == "skewed" {
-        ClusterEngine::builder(accel)
-            .heads(4)
-            .weight_bytes(10_000_000)
-            .seed(7)
-            .max_batch(4)
-            .max_batch_tokens(2200)
+fn run_cluster(workload: &str, shape: Shape, size: WorkloadSize) -> (ClusterReport, f64) {
+    let (cfg, requests) = if workload == "skewed" {
+        (skewed_config(), skewed(size.mice))
     } else {
-        topick_accel::serve::workloads::shared_prefix_cluster(accel, true)
+        (chat_config(true), chat(size.tenants, size.per_tenant))
     };
-    let mut cluster = builder
-        .record_events(false)
-        .shards(shards)
-        .routing(routing)
-        .stealing(stealing)
-        .threads(threads)
-        .build();
-    let clock_hz = cluster.shard(0).config().clock_hz;
-    let requests = if workload == "skewed" {
-        skewed_elephant_mice(4, size.mice)
-    } else {
-        shared_prefix_chat(11, size.tenants, size.per_tenant)
-    };
-    for r in requests {
-        cluster.enqueue(r).expect("valid request");
-    }
-    (
-        cluster.run_to_completion(100_000).expect("completes"),
-        clock_hz,
-    )
+    serve(cfg, PolicyKind::Fifo, shape, requests)
 }
 
-fn shard_record(
-    workload: &str,
-    shards: usize,
-    routing: RoutingKind,
-    stealing: bool,
-    threads: usize,
-    size: WorkloadSize,
-) -> JsonValue {
-    let (report, clock_hz) = run_cluster(workload, shards, routing, stealing, threads, size);
+fn shard_record(workload: &str, shape: Shape, size: WorkloadSize) -> JsonValue {
+    let (report, clock_hz) = run_cluster(workload, shape, size);
     JsonObject::new()
         .field("workload", workload)
-        .field("shards", shards)
+        .field("shards", shape.shards)
         .field("routing", report.routing.as_str())
-        .field("stealing", stealing)
+        .field("stealing", shape.stealing)
         .field("threads", report.threads)
         .field("tokens", report.tokens_generated())
         .field("cluster_steps", report.cluster_steps)
@@ -339,26 +345,17 @@ fn run_threads_point(
     mice: u64,
     runs: usize,
 ) -> (ClusterReport, f64) {
+    let shape = Shape {
+        shards,
+        routing: RoutingKind::LeastLoaded,
+        stealing: true,
+        threads,
+    };
     let mut best_wall = f64::INFINITY;
     let mut last = None;
     for _ in 0..runs.max(1) {
-        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-        let mut cluster = ClusterEngine::builder(accel)
-            .heads(4)
-            .weight_bytes(10_000_000)
-            .seed(7)
-            .max_batch(4)
-            .max_batch_tokens(2200)
-            .record_events(false)
-            .shards(shards)
-            .routing(RoutingKind::LeastLoaded)
-            .stealing(true)
-            .threads(threads)
-            .build();
-        for r in skewed_elephant_mice(elephants, mice) {
-            cluster.enqueue(r).expect("valid request");
-        }
-        let report = cluster.run_to_completion(1_000_000).expect("completes");
+        let requests = SkewedElephantMice { elephants, mice }.generate(0);
+        let (report, _) = serve(skewed_config(), PolicyKind::Fifo, shape, requests);
         best_wall = best_wall.min(report.wall_seconds);
         last = Some(report);
     }
@@ -463,111 +460,71 @@ fn scenario_meta(kind: ScenarioKind, seed: u64) -> TraceMeta {
 }
 
 /// The `--scenario-sweep` document (checked in as
-/// `BENCH_serving_scenarios.json`): one engine record per scenario, plus
-/// a 4-shard cluster pair (round-robin vs prefix-affinity) — for every
-/// scenario in full mode, for the agentic scenario only under `--quick`.
-/// Records carry the schedule digest so a bench diff doubles as a
-/// schedule-regression signal, and `host_parallelism` keeps wall_ms
-/// honest about the hardware it was measured on.
+/// `BENCH_serving_scenarios.json`): one 1-shard record per scenario, plus
+/// a 4-shard pair (round-robin vs prefix-affinity) — for every scenario in
+/// full mode, for the agentic scenario only under `--quick`. Every record
+/// has the same shape and carries the schedule digest, so a bench diff
+/// doubles as a schedule-regression signal, and `host_parallelism` keeps
+/// wall_ms honest about the hardware it was measured on.
 fn scenario_sweep(seed: u64, quick: bool) -> JsonValue {
     let host_parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let mut records = Vec::new();
-    let mut agentic_hit_rates = None;
+    let mut agentic_hit_rates = [0.0f64; 2];
     for kind in ScenarioKind::all() {
         let requests = kind.build().generate(seed);
-        let meta = scenario_meta(kind, seed);
-        let clock_hz = meta.clock_hz;
-        let start = Instant::now();
-        let (trace, report) = run_recorded(&meta, &requests).expect("scenario run completes");
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let RunReport::Engine(report) = report else {
-            unreachable!("shards <= 1 runs a bare engine");
-        };
-        records.push(
-            JsonObject::new()
-                .field("scenario", kind.name())
-                .field("flavor", "engine")
-                .field("requests", requests.len())
-                .field("tokens", report.tokens_generated)
-                .field("steps", report.steps.len())
-                .field("total_cycles", report.total_cycles)
-                .field("wall_ms", JsonValue::Prec(wall_ms, 3))
-                .field(
-                    "tokens_per_s",
-                    JsonValue::Prec(report.tokens_per_second(clock_hz), 1),
-                )
-                .field(
-                    "prefix_hit_rate",
-                    JsonValue::Prec(report.prefix_hit_rate(), 3),
-                )
-                .field(
-                    "goodput_tokens_per_s",
-                    JsonValue::Prec(
-                        goodput_tokens_per_s(report.requests.iter(), report.total_cycles, clock_hz),
-                        1,
-                    ),
-                )
-                .field("digest", trace.digest)
-                .into(),
-        );
-        // The cluster contrast is where routing earns (or scatters) the
+        // The 4-shard contrast is where routing earns (or scatters) the
         // per-shard caches' hit rate; the agentic pair always runs
         // because the affinity margin is pinned from it.
+        let mut shapes = vec![(1usize, RoutingKind::RoundRobin)];
         if !quick || kind == ScenarioKind::AgenticToolLoops {
-            let mut hit_rates = [0.0f64; 2];
-            for (i, routing) in [RoutingKind::RoundRobin, RoutingKind::PrefixAffinity]
-                .into_iter()
-                .enumerate()
-            {
-                let meta = scenario_meta(kind, seed).for_cluster(4, routing.name(), false, 1);
-                let start = Instant::now();
-                let (trace, report) =
-                    run_recorded(&meta, &requests).expect("scenario cluster run completes");
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                let RunReport::Cluster(report) = report else {
-                    unreachable!("shards > 1 runs a cluster");
-                };
-                hit_rates[i] = report.prefix_hit_rate();
-                records.push(
-                    JsonObject::new()
-                        .field("scenario", kind.name())
-                        .field("flavor", "cluster")
-                        .field("shards", 4usize)
-                        .field("routing", routing.name())
-                        .field("requests", requests.len())
-                        .field("tokens", report.tokens_generated())
-                        .field("cluster_steps", report.cluster_steps)
-                        .field("total_cycles", report.total_cycles)
-                        .field("wall_ms", JsonValue::Prec(wall_ms, 3))
-                        .field(
-                            "tokens_per_s",
-                            JsonValue::Prec(report.tokens_per_second(clock_hz), 1),
-                        )
-                        .field(
-                            "prefix_hit_rate",
-                            JsonValue::Prec(report.prefix_hit_rate(), 3),
-                        )
-                        .field(
-                            "goodput_tokens_per_s",
-                            JsonValue::Prec(
-                                goodput_tokens_per_s(
-                                    report.requests().map(|(_, r)| r),
-                                    report.total_cycles,
-                                    clock_hz,
-                                ),
-                                1,
+            shapes.push((4, RoutingKind::RoundRobin));
+            shapes.push((4, RoutingKind::PrefixAffinity));
+        }
+        for (shards, routing) in shapes {
+            let meta = scenario_meta(kind, seed).for_cluster(shards, routing.name(), false, 1);
+            let clock_hz = meta.clock_hz;
+            let start = Instant::now();
+            let (trace, report) = run_recorded(&meta, &requests).expect("scenario run completes");
+            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            if kind == ScenarioKind::AgenticToolLoops && shards == 4 {
+                agentic_hit_rates[usize::from(routing == RoutingKind::PrefixAffinity)] =
+                    report.prefix_hit_rate();
+            }
+            records.push(
+                JsonObject::new()
+                    .field("scenario", kind.name())
+                    .field("shards", shards)
+                    .field("routing", routing.name())
+                    .field("requests", requests.len())
+                    .field("tokens", report.tokens_generated())
+                    .field("steps", report.cluster_steps)
+                    .field("total_cycles", report.total_cycles)
+                    .field("wall_ms", JsonValue::Prec(wall_ms, 3))
+                    .field(
+                        "tokens_per_s",
+                        JsonValue::Prec(report.tokens_per_second(clock_hz), 1),
+                    )
+                    .field(
+                        "prefix_hit_rate",
+                        JsonValue::Prec(report.prefix_hit_rate(), 3),
+                    )
+                    .field(
+                        "goodput_tokens_per_s",
+                        JsonValue::Prec(
+                            goodput_tokens_per_s(
+                                report.requests().map(|(_, r)| r),
+                                report.total_cycles,
+                                clock_hz,
                             ),
-                        )
-                        .field("digest", trace.digest)
-                        .into(),
-                );
-            }
-            if kind == ScenarioKind::AgenticToolLoops {
-                agentic_hit_rates = Some(hit_rates);
-            }
+                            1,
+                        ),
+                    )
+                    .field("digest", trace.digest)
+                    .into(),
+            );
         }
     }
-    let [rr, affinity] = agentic_hit_rates.expect("the agentic cluster pair always runs");
+    let [rr, affinity] = agentic_hit_rates;
     JsonObject::new()
         .field("bench", "serving_scenarios")
         .field("scenario_seed", seed)
@@ -625,18 +582,15 @@ fn slo_record(
     let start = Instant::now();
     let (trace, report) = run_recorded(&meta, requests).expect("slo run completes");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let RunReport::Engine(report) = report else {
-        unreachable!("shards <= 1 runs a bare engine");
-    };
     JsonObject::new()
         .field("scenario", kind.name())
         .field("load", load)
         .field("policy", policy.name())
         .field("prefill_chunk_pages", chunk_pages)
         .field("requests", requests.len())
-        .field("tokens", report.tokens_generated)
+        .field("tokens", report.tokens_generated())
         .field("good_tokens", report.total_good_tokens())
-        .field("steps", report.steps.len())
+        .field("steps", report.cluster_steps)
         .field("total_cycles", report.total_cycles)
         .field("wall_ms", JsonValue::Prec(wall_ms, 3))
         .field(
@@ -654,7 +608,7 @@ fn slo_record(
         .field("ttft_p99_steps", report.ttft_p99_steps())
         .field(
             "max_prefill_stall_cycles",
-            report.max_prefill_stall_cycles(),
+            report.shards[0].max_prefill_stall_cycles(),
         )
         .field("digest", trace.digest)
         .into()
@@ -707,51 +661,33 @@ fn slo_sweep(seed: u64, quick: bool) -> JsonValue {
         .into()
 }
 
-/// One engine run of the canonical skewed workload (priority-aging +
+/// One 1-shard run of the canonical skewed workload (priority-aging +
 /// preemption + 0.75 paged retention — the eviction-heavy regime) with a
 /// host swap tier of `host_pages` priced at `swap_cost`.
 fn run_tiered_engine(host_pages: usize, swap_cost: f64, mice: u64) -> (ServingReport, f64, f64) {
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut engine = ServingEngine::builder(accel)
-        .heads(4)
-        .weight_bytes(10_000_000)
-        .max_batch(4)
-        .max_batch_tokens(2200)
-        .seed(7)
-        .record_events(false)
-        .policy(PolicyKind::PriorityAging)
-        .enable_preemption()
-        .retention(RetentionPolicy::Fraction(0.75))
-        .host_pages(host_pages)
-        .swap_cost_factor(swap_cost)
-        .build();
-    let clock_hz = engine.config().clock_hz;
-    for r in skewed_elephant_mice(4, mice) {
-        engine.enqueue(r).expect("valid request");
-    }
-    let start = Instant::now();
-    let report = engine.run_to_completion(100_000).expect("completes");
-    (report, clock_hz, start.elapsed().as_secs_f64() * 1e3)
+    let mut cfg = skewed_config();
+    cfg.preemption = PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.75));
+    cfg.host_pages = host_pages;
+    cfg.swap_cost_factor = swap_cost;
+    let (mut report, clock_hz) = serve(cfg, PolicyKind::PriorityAging, ONE_SHARD, skewed(mice));
+    let wall_ms = report.wall_seconds * 1e3;
+    (report.shards.swap_remove(0), clock_hz, wall_ms)
 }
 
 /// One 4-shard round-robin run of the shared-prefix chat workload with
 /// cross-shard page shipping priced at `ship_cost` (0 disables it).
 fn run_tiered_cluster(ship_cost: f64, size: WorkloadSize) -> (ClusterReport, f64) {
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut cluster = topick_accel::serve::workloads::shared_prefix_cluster(accel, true)
-        .record_events(false)
-        .shards(4)
-        .routing(RoutingKind::RoundRobin)
-        .stealing(false)
-        .ship_cost_factor(ship_cost)
-        .build();
-    let clock_hz = cluster.shard(0).config().clock_hz;
-    for r in shared_prefix_chat(11, size.tenants, size.per_tenant) {
-        cluster.enqueue(r).expect("valid request");
-    }
-    (
-        cluster.run_to_completion(100_000).expect("completes"),
-        clock_hz,
+    let mut cfg = chat_config(true);
+    cfg.ship_cost_factor = ship_cost;
+    let shape = Shape {
+        shards: 4,
+        ..ONE_SHARD
+    };
+    serve(
+        cfg,
+        PolicyKind::Fifo,
+        shape,
+        chat(size.tenants, size.per_tenant),
     )
 }
 
@@ -972,53 +908,51 @@ fn e2e_record(
 /// preemption with paged retention. See the module docs for what each
 /// record asserts.
 fn e2e_sweep(quick: bool) -> JsonValue {
-    use topick_accel::serve::workloads::shared_prefix_engine;
     let host_parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let (tenants, per_tenant) = if quick { (3, 4) } else { (4, 6) };
     let mice: u64 = if quick { 4 } else { 8 };
-    let accel = || AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let chat = shared_prefix_chat(11, tenants, per_tenant);
-    let mut records = vec![
+    let engine = |cfg: ServingConfig, policy: PolicyKind| {
+        ServingEngine::builder(cfg.accel.clone())
+            .config(cfg)
+            .policy(policy)
+            .build()
+    };
+    let workload = chat(tenants, per_tenant);
+    let mut chunked = chat_config(true);
+    chunked.prefill_chunk_pages = 2;
+    let mut evicting = skewed_config();
+    evicting.preemption =
+        PreemptionConfig::enabled().with_retention(RetentionPolicy::Fraction(0.75));
+    let records = vec![
         e2e_record(
             "shared-prefix-cache-on",
-            chat.clone(),
-            shared_prefix_engine(accel(), true).build(),
+            workload.clone(),
+            engine(chat_config(true), PolicyKind::Fifo),
             true,
             false,
         ),
         e2e_record(
             "shared-prefix-cache-off",
-            chat.clone(),
-            shared_prefix_engine(accel(), false).build(),
+            workload.clone(),
+            engine(chat_config(false), PolicyKind::Fifo),
             false,
             false,
         ),
         e2e_record(
             "shared-prefix-chunked-prefill",
-            chat,
-            shared_prefix_engine(accel(), true)
-                .prefill_chunk_pages(2)
-                .build(),
+            workload,
+            engine(chunked, PolicyKind::Fifo),
             true,
             false,
         ),
+        e2e_record(
+            "skewed-preemptive-retention",
+            skewed(mice),
+            engine(evicting, PolicyKind::PriorityAging),
+            false,
+            true,
+        ),
     ];
-    records.push(e2e_record(
-        "skewed-preemptive-retention",
-        skewed_elephant_mice(4, mice),
-        ServingEngine::builder(accel())
-            .heads(4)
-            .weight_bytes(10_000_000)
-            .max_batch(4)
-            .max_batch_tokens(2200)
-            .seed(7)
-            .policy(PolicyKind::PriorityAging)
-            .enable_preemption()
-            .retention(RetentionPolicy::Fraction(0.75))
-            .build(),
-        false,
-        true,
-    ));
     JsonObject::new()
         .field("bench", "serving_e2e")
         .field("quick", quick)
@@ -1173,64 +1107,40 @@ fn main() {
     };
     let mut shards = Vec::new();
     for &n in &shard_counts {
-        shards.push(shard_record(
-            "skewed",
-            n,
-            RoutingKind::RoundRobin,
-            false,
-            1,
-            size,
-        ));
+        let shape = |routing, stealing, threads| Shape {
+            shards: n,
+            routing,
+            stealing,
+            threads,
+        };
+        let mut points = vec![("skewed", shape(RoutingKind::RoundRobin, false, 1))];
         if n > 1 {
-            shards.push(shard_record(
-                "skewed",
-                n,
-                RoutingKind::LeastLoaded,
-                true,
-                1,
-                size,
-            ));
+            points.push(("skewed", shape(RoutingKind::LeastLoaded, true, 1)));
             if threads_flag > 1 {
                 // Threaded twin of the least-loaded + stealing point:
                 // same schedule by construction, wall_ms is the column
                 // that moves.
-                shards.push(shard_record(
+                points.push((
                     "skewed",
-                    n,
-                    RoutingKind::LeastLoaded,
-                    true,
-                    threads_flag,
-                    size,
+                    shape(RoutingKind::LeastLoaded, true, threads_flag),
                 ));
             }
         }
-        shards.push(shard_record(
-            "shared-prefix",
-            n,
-            RoutingKind::RoundRobin,
-            false,
-            1,
-            size,
-        ));
+        points.push(("shared-prefix", shape(RoutingKind::RoundRobin, false, 1)));
         if n > 1 {
-            shards.push(shard_record(
+            points.push((
                 "shared-prefix",
-                n,
-                RoutingKind::PrefixAffinity,
-                false,
-                1,
-                size,
+                shape(RoutingKind::PrefixAffinity, false, 1),
             ));
             if threads_flag > 1 {
-                shards.push(shard_record(
+                points.push((
                     "shared-prefix",
-                    n,
-                    RoutingKind::PrefixAffinity,
-                    false,
-                    threads_flag,
-                    size,
+                    shape(RoutingKind::PrefixAffinity, false, threads_flag),
                 ));
             }
+        }
+        for (workload, shape) in points {
+            shards.push(shard_record(workload, shape, size));
         }
     }
 

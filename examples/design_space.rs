@@ -1,39 +1,27 @@
 //! Design-space exploration: how the ToPick speedup responds to the
 //! architectural knobs — PE lane count, scoreboard depth, DRAM channels —
-//! using the generation-phase simulator.
+//! measured as a 1-request serving run.
 //!
 //! ```sh
 //! cargo run --release --example design_space
 //! ```
 
-use token_picker::accel::{AccelConfig, AccelMode, GenerationConfig, GenerationSimulator};
-use token_picker::core::{PrecisionConfig, QMatrix, QVector};
-use token_picker::model::{InstanceSampler, SynthInstance};
+use token_picker::accel::{AccelConfig, AccelMode, ServingEngine, ServingRequest};
 
-fn factory(seed: u64) -> impl FnMut(usize, usize, usize) -> (QVector, QMatrix, Vec<f32>) {
-    move |step, head, ctx| {
-        let pc = PrecisionConfig::paper();
-        let inst: SynthInstance =
-            InstanceSampler::realistic(ctx, 64).sample(seed + step as u64 * 101 + head as u64);
-        (
-            QVector::quantize(&inst.query, pc),
-            QMatrix::quantize_flat(inst.keys().data(), inst.dim(), pc).expect("non-empty"),
-            inst.into_values(),
-        )
-    }
-}
-
+/// Total cycles of one request with a 512-token prompt generating two
+/// tokens over two attention heads. No FC/FFN weights are streamed, so
+/// the figure is the run's attention work alone.
 fn run_with(mutate: impl FnOnce(&mut AccelConfig)) -> Result<u64, Box<dyn std::error::Error>> {
     let mut accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3)?;
     mutate(&mut accel);
-    let cfg = GenerationConfig {
-        accel,
-        prompt_len: 512,
-        steps: 2,
-        heads: 2,
-        model_kv_writes: true,
-    };
-    Ok(GenerationSimulator::new(cfg).run(factory(11))?.cycles)
+    let mut engine = ServingEngine::builder(accel)
+        .heads(2)
+        .weight_bytes(0)
+        .seed(11)
+        .record_events(false)
+        .build();
+    engine.enqueue(ServingRequest::new(0, 512, 2))?;
+    Ok(engine.run_to_completion(8)?.total_cycles)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -243,9 +243,6 @@ fn serve_requests(opts: &ServeOpts) -> Vec<token_picker::accel::ServingRequest> 
     reqs
 }
 
-/// Builds the trace meta describing the run the flags ask for — the
-/// single source both the live run and any `--record`/`--replay` of it
-/// execute through.
 /// Builds the `ServingConfig` the flags describe — the single source
 /// both the trace-recorded cost-model run and the `--real-tokens`
 /// token-backed run configure their engines from.
@@ -280,6 +277,9 @@ fn serve_config(
     Ok(cfg)
 }
 
+/// Builds the trace meta describing the run the flags ask for — the
+/// single source both the live run and any `--record`/`--replay` of it
+/// execute through.
 fn serve_meta(
     opts: &ServeOpts,
     policy: token_picker::accel::PolicyKind,
@@ -287,39 +287,36 @@ fn serve_meta(
     use token_picker::accel::TraceMeta;
 
     let cfg = serve_config(opts)?;
-    let mut meta = TraceMeta::new(&cfg, policy.name());
-    if opts.shards > 1 {
-        meta = meta.for_cluster(
-            opts.shards,
-            opts.routing.name(),
-            opts.stealing,
-            opts.threads,
-        );
-    }
+    let mut meta = TraceMeta::new(&cfg, policy.name()).for_cluster(
+        opts.shards,
+        opts.routing.name(),
+        opts.stealing,
+        opts.threads,
+    );
     if let Some(kind) = opts.scenario {
         meta = meta.for_scenario(kind.name(), opts.scenario_seed);
     }
     Ok(meta)
 }
 
-/// One recorded run — engine or cluster per the meta — driven through the
-/// trace subsystem, so `--record` is just "save what already happened".
+/// One recorded cluster run (a single engine is the 1-shard cluster)
+/// driven through the trace subsystem, so `--record` is just "save what
+/// already happened".
 fn serve_run(
     opts: &ServeOpts,
     policy: token_picker::accel::PolicyKind,
 ) -> Result<
     (
+        token_picker::accel::TraceMeta,
         token_picker::accel::Trace,
-        token_picker::accel::RunReport,
-        f64,
+        token_picker::accel::ClusterReport,
     ),
     Box<dyn std::error::Error>,
 > {
     let meta = serve_meta(opts, policy)?;
-    let clock_hz = meta.clock_hz;
     let requests = serve_requests(opts);
     let (trace, report) = token_picker::accel::serve::trace::run_recorded(&meta, &requests)?;
-    Ok((trace, report, clock_hz))
+    Ok((meta, trace, report))
 }
 
 /// Saves the trace when `--record` asked for it.
@@ -343,7 +340,7 @@ fn save_trace(
 /// re-enqueues the recorded requests, and verifies the replayed schedule
 /// digest against the recording (a mismatch is an error).
 fn cmd_serve_replay(path: &str) -> Result<(), Box<dyn std::error::Error>> {
-    use token_picker::accel::{RunReport, TraceReplay};
+    use token_picker::accel::TraceReplay;
 
     let replay = TraceReplay::load(path)?;
     let meta = replay.meta().clone();
@@ -363,22 +360,130 @@ fn cmd_serve_replay(path: &str) -> Result<(), Box<dyn std::error::Error>> {
         "digest         : {:#018x} (matches the recording)",
         trace.digest
     );
-    match report {
-        RunReport::Engine(r) => println!(
-            "throughput     : {:.1} tokens/s, {} tokens in {} steps",
-            r.tokens_per_second(meta.clock_hz),
-            r.tokens_generated,
-            r.steps.len()
-        ),
-        RunReport::Cluster(r) => println!(
-            "throughput     : {:.1} tokens/s, {} tokens in {} cluster steps ({} steals)",
-            r.tokens_per_second(meta.clock_hz),
-            r.tokens_generated(),
-            r.cluster_steps,
-            r.steals
-        ),
-    }
+    print_serve_summary(&meta, &report);
     Ok(())
+}
+
+/// Prints one run's summary: the cluster-level totals, then one row per
+/// shard for the numbers each shard's engine keeps for itself. A 1-shard
+/// run is the bare engine, so its single row is the engine's own report.
+fn print_serve_summary(
+    meta: &token_picker::accel::TraceMeta,
+    report: &token_picker::accel::ClusterReport,
+) {
+    let plural = |n: usize| if n == 1 { "" } else { "s" };
+    println!(
+        "mode {:?}, policy {}, routing {}{}: {} shard{} on {} thread{}, {} requests, {} tokens in {} steps",
+        meta.mode,
+        report.policy,
+        report.routing,
+        if report.stealing { " + stealing" } else { "" },
+        report.shards.len(),
+        plural(report.shards.len()),
+        report.threads,
+        plural(report.threads),
+        report.requests().count(),
+        report.tokens_generated(),
+        report.cluster_steps
+    );
+    println!(
+        "total cycles   : {} (modeled makespan)",
+        report.total_cycles
+    );
+    println!(
+        "wall clock     : {:.1} ms (measured, {} thread{})",
+        report.wall_seconds * 1e3,
+        report.threads,
+        plural(report.threads)
+    );
+    println!(
+        "throughput     : {:.1} tokens/s",
+        report.tokens_per_second(meta.clock_hz)
+    );
+    println!("mean TTFT      : {:.2} steps", report.mean_ttft_steps());
+    println!(
+        "mean queue wait: {:.2} steps",
+        report.mean_queue_wait_steps()
+    );
+    println!("steals         : {}", report.steals);
+    if meta.ship_cost_factor > 0.0 {
+        println!(
+            "page shipping  : {} running migrations, {} transfer cycles",
+            report.ships,
+            report.total_ship_cycles()
+        );
+    }
+    println!("load imbalance : {:.2}", report.load_imbalance());
+    println!("preemptions    : {}", report.preemptions());
+    println!(
+        "reprefill      : {} cycles",
+        report.total_reprefill_cycles()
+    );
+    if meta.host_pages > 0 {
+        println!(
+            "host swap      : {} copy-back cycles ({} host pages per shard)",
+            report.total_swap_cycles(),
+            meta.host_pages
+        );
+    }
+    if meta.reject_expired_ttft {
+        println!(
+            "rejections     : {} expired-TTFT requests",
+            report.rejections()
+        );
+    }
+    println!(
+        "prefill        : {} cycles ({} prompt tokens served from the prefix cache, {:.0}% hit rate)",
+        report.total_prefill_cycles(),
+        report.total_prefix_hit_tokens(),
+        100.0 * report.prefix_hit_rate()
+    );
+    if report.requests().any(|(_, r)| r.has_deadline()) {
+        println!(
+            "SLO            : {:.0}% deadline attainment, {:.1} good tokens/s ({} good tokens)",
+            100.0 * report.deadline_attainment(),
+            report.goodput_tokens_per_second(meta.clock_hz),
+            report.total_good_tokens()
+        );
+        println!(
+            "TTFT p99       : {} steps (pooled across shards)",
+            report.ttft_p99_steps()
+        );
+    }
+    println!(
+        "{:>5} {:>8} {:>7} {:>12} {:>10} {:>9} {:>9} {:>8} {:>11} {:>8} {:>8} {:>10} {:>7}",
+        "shard",
+        "requests",
+        "tokens",
+        "busy cycles",
+        "mean step",
+        "mean TTFT",
+        "mean wait",
+        "KV hits",
+        "reprefilled",
+        "retained",
+        "swapped",
+        "max stall",
+        "V red."
+    );
+    for (i, shard) in report.shards.iter().enumerate() {
+        println!(
+            "{:>5} {:>8} {:>7} {:>12} {:>10.0} {:>9.2} {:>9.2} {:>8} {:>11} {:>8} {:>8} {:>10} {:>6.2}x",
+            i,
+            shard.requests.len(),
+            shard.tokens_generated,
+            shard.total_cycles,
+            shard.mean_step_cycles(),
+            shard.mean_ttft_steps(),
+            shard.mean_queue_wait_steps(),
+            shard.total_prefix_hit_tokens(),
+            shard.total_reprefilled_tokens(),
+            shard.total_retained_tokens(),
+            shard.total_swapped_tokens(),
+            shard.max_prefill_stall_cycles(),
+            shard.prune.v_reduction()
+        );
+    }
 }
 
 /// `serve --real-tokens`: the engine schedules (and charges cycles)
@@ -627,18 +732,16 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
         return cmd_serve_real_tokens(&opts, policy);
     }
 
-    if shards > 1 {
-        return cmd_serve_cluster(&opts, policy_flag);
-    }
-
     if policy_flag == "all" {
         println!(
-            "{:<20} {:>8} {:>12} {:>11} {:>10} {:>9} {:>11} {:>9} {:>8} {:>11}",
+            "{:<20} {:>8} {:>12} {:>11} {:>10} {:>8} {:>10} {:>9} {:>11} {:>9} {:>8} {:>11}",
             "policy",
             "steps",
             "tokens/s",
             "mean TTFT",
             "mean wait",
+            "steals",
+            "imbalance",
             "preempts",
             "reprefill",
             "KV hits",
@@ -646,219 +749,32 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn std::error::
             "goodput"
         );
         for kind in PolicyKind::all() {
-            let (_, report, clock_hz) = serve_run(&opts, kind)?;
-            let token_picker::accel::RunReport::Engine(report) = report else {
-                unreachable!("shards <= 1 runs a bare engine");
-            };
+            let (meta, _, report) = serve_run(&opts, kind)?;
             println!(
-                "{:<20} {:>8} {:>12.1} {:>11.2} {:>10.2} {:>9} {:>11} {:>9} {:>7.0}% {:>11.1}",
-                report.policy,
-                report.steps.len(),
-                report.tokens_per_second(clock_hz),
-                report.mean_ttft_steps(),
-                report.mean_queue_wait_steps(),
-                report.preemptions,
-                report.total_reprefill_cycles(),
-                report.total_prefix_hit_tokens(),
-                100.0 * report.deadline_attainment(),
-                report.goodput_tokens_per_second(clock_hz)
-            );
-        }
-        return Ok(());
-    }
-
-    let policy: PolicyKind = policy_flag.parse()?;
-    let (trace, report, clock_hz) = serve_run(&opts, policy)?;
-    let token_picker::accel::RunReport::Engine(report) = report else {
-        unreachable!("shards <= 1 runs a bare engine");
-    };
-    if let Some(kind) = opts.scenario {
-        println!("scenario {} (seed {})", kind.name(), opts.scenario_seed);
-    }
-    println!(
-        "mode {:?}, policy {}: {} requests, {} tokens in {} steps",
-        opts.mode,
-        report.policy,
-        report.requests.len(),
-        report.tokens_generated,
-        report.steps.len()
-    );
-    println!("total cycles   : {}", report.total_cycles);
-    println!("mean step      : {:.0} cycles", report.mean_step_cycles());
-    println!(
-        "throughput     : {:.1} tokens/s",
-        report.tokens_per_second(clock_hz)
-    );
-    println!("mean TTFT      : {:.2} steps", report.mean_ttft_steps());
-    println!(
-        "mean queue wait: {:.2} steps",
-        report.mean_queue_wait_steps()
-    );
-    println!("preemptions    : {}", report.preemptions);
-    println!(
-        "reprefill      : {} cycles ({} tokens; {} KV tokens retained)",
-        report.total_reprefill_cycles(),
-        report.total_reprefilled_tokens(),
-        report.total_retained_tokens()
-    );
-    if opts.host_pages > 0 {
-        println!(
-            "host swap      : {} cycles ({} tokens copied back, {} host pages)",
-            report.total_swap_cycles(),
-            report.total_swapped_tokens(),
-            opts.host_pages
-        );
-    }
-    if opts.slo_reject {
-        println!(
-            "rejections     : {} expired-TTFT requests",
-            report.rejections
-        );
-    }
-    println!(
-        "prefill        : {} cycles ({} prompt tokens served from the prefix cache, {:.0}% hit rate)",
-        report.total_prefill_cycles(),
-        report.total_prefix_hit_tokens(),
-        100.0 * report.prefix_hit_rate()
-    );
-    if report.requests.iter().any(|r| r.has_deadline()) {
-        println!(
-            "SLO            : {:.0}% deadline attainment, {:.1} good tokens/s ({} good tokens)",
-            100.0 * report.deadline_attainment(),
-            report.goodput_tokens_per_second(clock_hz),
-            report.total_good_tokens()
-        );
-        println!(
-            "TTFT p99       : {} steps (max prefill stall {} cycles/step)",
-            report.ttft_p99_steps(),
-            report.max_prefill_stall_cycles()
-        );
-    }
-    println!("V reduction    : {:.2}x", report.prune.v_reduction());
-    save_trace(&trace, opts.record.as_deref())?;
-    Ok(())
-}
-
-/// The multi-shard `serve` output: one combined row per policy under
-/// `--policy all`, or a combined summary plus a per-shard breakdown for a
-/// single policy.
-fn cmd_serve_cluster(
-    opts: &ServeOpts,
-    policy_flag: &str,
-) -> Result<(), Box<dyn std::error::Error>> {
-    use token_picker::accel::PolicyKind;
-
-    if policy_flag == "all" {
-        println!(
-            "{:<20} {:>8} {:>12} {:>8} {:>10} {:>9} {:>9}",
-            "policy", "steps", "tokens/s", "steals", "imbalance", "preempts", "KV hits"
-        );
-        for kind in PolicyKind::all() {
-            let (_, report, clock_hz) = serve_run(opts, kind)?;
-            let token_picker::accel::RunReport::Cluster(report) = report else {
-                unreachable!("shards > 1 runs a cluster");
-            };
-            println!(
-                "{:<20} {:>8} {:>12.1} {:>8} {:>10.2} {:>9} {:>9}",
+                "{:<20} {:>8} {:>12.1} {:>11.2} {:>10.2} {:>8} {:>10.2} {:>9} {:>11} {:>9} {:>7.0}% {:>11.1}",
                 report.policy,
                 report.cluster_steps,
-                report.tokens_per_second(clock_hz),
+                report.tokens_per_second(meta.clock_hz),
+                report.mean_ttft_steps(),
+                report.mean_queue_wait_steps(),
                 report.steals,
                 report.load_imbalance(),
                 report.preemptions(),
-                report.total_prefix_hit_tokens()
+                report.total_reprefill_cycles(),
+                report.total_prefix_hit_tokens(),
+                100.0 * report.deadline_attainment(),
+                report.goodput_tokens_per_second(meta.clock_hz)
             );
         }
         return Ok(());
     }
 
     let policy: PolicyKind = policy_flag.parse()?;
-    let (trace, report, clock_hz) = serve_run(opts, policy)?;
-    let token_picker::accel::RunReport::Cluster(report) = report else {
-        unreachable!("shards > 1 runs a cluster");
-    };
+    let (meta, trace, report) = serve_run(&opts, policy)?;
     if let Some(kind) = opts.scenario {
         println!("scenario {} (seed {})", kind.name(), opts.scenario_seed);
     }
-    println!(
-        "mode {:?}, policy {}, routing {}{}: {} shards on {} thread{}, {} requests, {} tokens in {} steps",
-        opts.mode,
-        report.policy,
-        report.routing,
-        if report.stealing { " + stealing" } else { "" },
-        report.shards.len(),
-        report.threads,
-        if report.threads == 1 { "" } else { "s" },
-        report.requests().count(),
-        report.tokens_generated(),
-        report.cluster_steps
-    );
-    println!("makespan       : {} cycles (modeled)", report.total_cycles);
-    println!(
-        "wall clock     : {:.1} ms (measured, {} thread{})",
-        report.wall_seconds * 1e3,
-        report.threads,
-        if report.threads == 1 { "" } else { "s" }
-    );
-    println!(
-        "throughput     : {:.1} tokens/s",
-        report.tokens_per_second(clock_hz)
-    );
-    println!("steals         : {}", report.steals);
-    if opts.ship_cost > 0.0 {
-        println!(
-            "page shipping  : {} running migrations, {} transfer cycles",
-            report.ships,
-            report.total_ship_cycles()
-        );
-    }
-    if opts.host_pages > 0 {
-        println!(
-            "host swap      : {} copy-back cycles ({} host pages per shard)",
-            report.total_swap_cycles(),
-            opts.host_pages
-        );
-    }
-    if opts.slo_reject {
-        println!(
-            "rejections     : {} expired-TTFT requests",
-            report.rejections()
-        );
-    }
-    println!("load imbalance : {:.2}", report.load_imbalance());
-    println!("preemptions    : {}", report.preemptions());
-    println!(
-        "prefix cache   : {} prompt tokens served, {:.0}% hit rate",
-        report.total_prefix_hit_tokens(),
-        100.0 * report.prefix_hit_rate()
-    );
-    if report.requests().any(|(_, r)| r.has_deadline()) {
-        println!(
-            "SLO            : {:.0}% deadline attainment, {:.1} good tokens/s ({} good tokens)",
-            100.0 * report.deadline_attainment(),
-            report.goodput_tokens_per_second(clock_hz),
-            report.total_good_tokens()
-        );
-        println!(
-            "TTFT p99       : {} steps (pooled across shards)",
-            report.ttft_p99_steps()
-        );
-    }
-    println!(
-        "{:>6} {:>9} {:>8} {:>12} {:>11} {:>9}",
-        "shard", "requests", "tokens", "busy cycles", "mean TTFT", "KV hits"
-    );
-    for (i, shard) in report.shards.iter().enumerate() {
-        println!(
-            "{:>6} {:>9} {:>8} {:>12} {:>11.2} {:>9}",
-            i,
-            shard.requests.len(),
-            shard.tokens_generated,
-            shard.total_cycles,
-            shard.mean_ttft_steps(),
-            shard.total_prefix_hit_tokens()
-        );
-    }
+    print_serve_summary(&meta, &report);
     save_trace(&trace, opts.record.as_deref())?;
     Ok(())
 }

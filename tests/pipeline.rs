@@ -3,7 +3,9 @@
 //! DRAM model, the energy model, and the SpAtten baseline must all agree
 //! on the same workloads.
 
-use token_picker::accel::{AccelConfig, AccelMode, ToPickAccelerator};
+use token_picker::accel::{
+    AccelConfig, AccelMode, ServingEngine, ServingRequest, ToPickAccelerator,
+};
 use token_picker::core::{
     exact_probabilities, weighted_value_sum, PrecisionConfig, ProgressivePruner, PrunerConfig,
     QMatrix, QVector,
@@ -235,31 +237,34 @@ fn prompt_then_generation_pipeline() {
 
 #[test]
 fn batched_step_simulation_uses_model_specs() {
-    let (q, keys, inst) = quantized(256, 64, 43);
+    // One batched decode step of OPT-6.7B served for 64 requests at
+    // context 256: the weights stream once, every request runs attention
+    // over all of its layers × heads.
     let spec = ModelSpec::opt_6_7b();
-    let params = token_picker::accel::BatchStepParams {
-        weight_bytes: spec.weight_bytes(),
-        heads: spec.n_layers * spec.n_heads,
-        batch: 64,
+    let serve = |accel: AccelConfig| {
+        let mut engine = ServingEngine::builder(accel)
+            .weight_bytes(spec.weight_bytes())
+            .heads(spec.n_layers * spec.n_heads)
+            .max_batch(64)
+            .max_batch_tokens(64 * 272)
+            .seed(43)
+            .record_events(false)
+            .build();
+        for id in 0..64 {
+            engine
+                .enqueue(ServingRequest::new(id, 256, 1))
+                .expect("valid request");
+        }
+        let report = engine.run_to_completion(2).expect("one step");
+        assert_eq!(report.steps.len(), 1);
+        assert_eq!(report.steps[0].batch, 64);
+        report
     };
-    let base_cfg = AccelConfig::baseline();
-    let tp_cfg = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("cfg");
-    let (base, tp, speedup) = token_picker::accel::compare_batch_step(
-        &base_cfg,
-        &tp_cfg,
-        &params,
-        &q,
-        &keys,
-        inst.values(),
-    )
-    .expect("batch step");
+    let base = serve(AccelConfig::baseline());
+    let tp = serve(AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("cfg"));
     // At context 256 (1/8th of the paper's S=2048) the KV share is small
     // but must still be visible and must shrink under ToPick.
-    assert!(
-        base.attention_fraction > 0.05,
-        "{}",
-        base.attention_fraction
-    );
-    assert!(speedup > 1.0, "batched speedup {speedup}");
-    assert!(tp.total_cycles() < base.total_cycles());
+    let attention_fraction = base.total_attention_cycles() as f64 / base.total_cycles as f64;
+    assert!(attention_fraction > 0.05, "{attention_fraction}");
+    assert!(tp.total_cycles < base.total_cycles);
 }

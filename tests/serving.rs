@@ -8,13 +8,58 @@
 
 use std::collections::BTreeSet;
 
-use token_picker::accel::serve::trace::run_recorded;
+use token_picker::accel::serve::scenario::{Scenario, SharedPrefixChat, SkewedElephantMice};
+use token_picker::accel::serve::trace::{digest_events, run_recorded};
 use token_picker::accel::{
-    AccelConfig, AccelMode, AdmissionConfig, ClusterEngine, ClusterEvent, ClusterReport,
-    PolicyKind, PreemptionConfig, RetentionPolicy, RoutingKind, RunReport, ScenarioKind,
+    AccelConfig, AccelMode, AdmissionConfig, ClusterEngine, ClusterEngineBuilder, ClusterEvent,
+    ClusterReport, PolicyKind, PreemptionConfig, RetentionPolicy, RoutingKind, ScenarioKind,
     ServeEvent, ServingConfig, ServingEngine, ServingReport, ServingRequest, TraceMeta,
     TraceReplay,
 };
+
+/// The canonical skewed workload: four elephants ahead of twelve mice.
+fn skewed_requests() -> Vec<ServingRequest> {
+    SkewedElephantMice::default().generate(0)
+}
+
+/// The canonical shared-prefix chat workload: four tenants × six
+/// requests at seed 11.
+fn chat_requests() -> Vec<ServingRequest> {
+    SharedPrefixChat::default().generate(11)
+}
+
+/// The canonical skewed engine sizing, with preemption at `retention`
+/// when asked for.
+fn skewed_config(preemption: bool, retention: RetentionPolicy) -> ServingConfig {
+    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+    let mut cfg = SkewedElephantMice::default().serving_config(accel);
+    if preemption {
+        cfg.preemption = PreemptionConfig::enabled().with_retention(retention);
+    }
+    cfg
+}
+
+/// The canonical chat sizing (prompt prefill priced), prefix cache on or
+/// off.
+fn chat_config(prefix_cache: bool) -> ServingConfig {
+    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
+    let mut cfg = SharedPrefixChat::default().serving_config(accel);
+    cfg.admission.prefix_cache = prefix_cache;
+    cfg
+}
+
+/// A bare engine running `cfg` under `policy`.
+fn engine_for(cfg: ServingConfig, policy: PolicyKind) -> ServingEngine {
+    ServingEngine::builder(cfg.accel.clone())
+        .config(cfg)
+        .policy(policy)
+        .build()
+}
+
+/// A cluster builder whose every shard runs `cfg`.
+fn cluster_builder(cfg: ServingConfig) -> ClusterEngineBuilder {
+    ClusterEngine::builder(cfg.accel.clone()).config(cfg)
+}
 
 fn mixed_workload() -> Vec<ServingRequest> {
     // 16 requests with heterogeneous prompts (128..=464 tokens) and
@@ -277,21 +322,8 @@ fn serve_skewed_with_retention(
     preemption: bool,
     retention: RetentionPolicy,
 ) -> token_picker::accel::ServingReport {
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
-
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut builder = ServingEngine::builder(accel)
-        .heads(4)
-        .weight_bytes(10_000_000)
-        .max_batch(4)
-        .max_batch_tokens(2200)
-        .seed(7)
-        .policy(policy);
-    if preemption {
-        builder = builder.enable_preemption().retention(retention);
-    }
-    let mut engine = builder.build();
-    for r in skewed_elephant_mice(4, 12) {
+    let mut engine = engine_for(skewed_config(preemption, retention), policy);
+    for r in skewed_requests() {
         engine.enqueue(r).expect("valid request");
     }
     engine.run_to_completion(2048).expect("workload completes")
@@ -415,10 +447,8 @@ fn every_policy_reproduces_the_pre_prefix_caching_schedule_exactly() {
 /// workload under FIFO with prompt prefill priced, toggling only the
 /// prefix cache.
 fn serve_shared_prefix(prefix_cache: bool) -> ServingReport {
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut engine =
-        token_picker::accel::serve::workloads::shared_prefix_engine(accel, prefix_cache).build();
-    for r in token_picker::accel::serve::workloads::shared_prefix_chat(11, 4, 6) {
+    let mut engine = ServingEngine::new(chat_config(prefix_cache));
+    for r in chat_requests() {
         engine.enqueue(r).expect("valid request");
     }
     let report = engine.run_to_completion(4096).expect("workload completes");
@@ -848,25 +878,14 @@ fn serve_skewed_cluster(
     stealing: bool,
     threads: usize,
 ) -> ClusterReport {
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
-
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut builder = ClusterEngine::builder(accel)
-        .heads(4)
-        .weight_bytes(10_000_000)
-        .max_batch(4)
-        .max_batch_tokens(2200)
-        .seed(7)
+    let mut cluster = cluster_builder(skewed_config(preemption, retention))
         .policy(policy)
         .shards(shards)
         .routing(routing)
         .stealing(stealing)
-        .threads(threads);
-    if preemption {
-        builder = builder.enable_preemption().retention(retention);
-    }
-    let mut cluster = builder.build();
-    for r in skewed_elephant_mice(4, 12) {
+        .threads(threads)
+        .build();
+    for r in skewed_requests() {
         cluster.enqueue(r).expect("valid request");
     }
     let report = cluster.run_to_completion(2048).expect("workload completes");
@@ -908,6 +927,114 @@ fn one_shard_cluster_reproduces_the_bare_engine_bit_for_bit() {
             assert_eq!(report.cluster_steps, report.shards[0].steps.len());
             assert_eq!(report.tokens_generated(), report.shards[0].tokens_generated);
         }
+    }
+
+    // Beyond the goldens, every feature a 1-shard run can switch on — and
+    // every router — must leave the schedule untouched: the cluster's
+    // event digest and its shard's whole report equal the bare engine's.
+    // Each case also checks that its feature actually fired, so the
+    // equality is never vacuous.
+    let mut tiered = skewed_config(true, RetentionPolicy::Fraction(0.75));
+    tiered.host_pages = 64;
+    tiered.swap_cost_factor = 0.25;
+    let mut chunked = skewed_config(false, RetentionPolicy::None);
+    chunked.prefill_chunk_pages = 4;
+    chunked.prefill_factor = 1.0;
+    let mut rejecting = skewed_config(false, RetentionPolicy::None);
+    rejecting.reject_expired_ttft = true;
+    rejecting.ship_cost_factor = 0.25;
+    let late_skewed: Vec<ServingRequest> = skewed_requests()
+        .into_iter()
+        .map(|r| r.with_ttft_deadline(3))
+        .collect();
+    // (label, shard config, policy, routing, workload, feature-fired check)
+    type Case = (
+        &'static str,
+        ServingConfig,
+        PolicyKind,
+        RoutingKind,
+        Vec<ServingRequest>,
+        fn(&ServingReport) -> bool,
+    );
+    let cases: [Case; 7] = [
+        (
+            "skewed/host-tier",
+            tiered,
+            PolicyKind::PriorityAging,
+            RoutingKind::RoundRobin,
+            skewed_requests(),
+            |r| r.total_swapped_tokens() > 0,
+        ),
+        (
+            "skewed/chunked-prefill",
+            chunked,
+            PolicyKind::Fifo,
+            RoutingKind::RoundRobin,
+            skewed_requests(),
+            |r| r.steps.iter().filter(|s| s.prefill_cycles > 0).count() > r.requests.len(),
+        ),
+        (
+            "skewed/reject-expired-ttft+ship",
+            rejecting,
+            PolicyKind::Fifo,
+            RoutingKind::RoundRobin,
+            late_skewed,
+            |r| r.rejections > 0,
+        ),
+        (
+            "chat/cache-on",
+            chat_config(true),
+            PolicyKind::Fifo,
+            RoutingKind::RoundRobin,
+            chat_requests(),
+            |r| r.total_prefix_hit_tokens() > 0,
+        ),
+        (
+            "chat/cache-off",
+            chat_config(false),
+            PolicyKind::Fifo,
+            RoutingKind::RoundRobin,
+            chat_requests(),
+            |r| r.total_prefix_hit_tokens() == 0 && r.total_prefill_cycles() > 0,
+        ),
+        (
+            "chat/prefix-affinity",
+            chat_config(true),
+            PolicyKind::Fifo,
+            RoutingKind::PrefixAffinity,
+            chat_requests(),
+            |r| r.total_prefix_hit_tokens() > 0,
+        ),
+        (
+            "skewed/least-loaded",
+            skewed_config(true, RetentionPolicy::Fraction(0.75)),
+            PolicyKind::PriorityAging,
+            RoutingKind::LeastLoaded,
+            skewed_requests(),
+            |r| r.preemptions > 0,
+        ),
+    ];
+    for (label, cfg, policy, routing, requests, fired) in cases {
+        let mut engine = engine_for(cfg.clone(), policy);
+        let mut cluster = cluster_builder(cfg).policy(policy).routing(routing).build();
+        for r in requests {
+            engine.enqueue(r).expect("valid request");
+            cluster.enqueue(r).expect("valid request");
+        }
+        let engine_report = engine.run_to_completion(4096).expect("engine completes");
+        let report = cluster.run_to_completion(4096).expect("cluster completes");
+        assert!(fired(&engine_report), "{label}: the feature never fired");
+        let engine_events: Vec<ClusterEvent> = engine
+            .drain_events()
+            .into_iter()
+            .map(|event| ClusterEvent::Shard { shard_id: 0, event })
+            .collect();
+        assert_eq!(
+            digest_events(cluster.events()),
+            digest_events(&engine_events),
+            "{label}: event digest"
+        );
+        assert_eq!(report.shards, [engine_report], "{label}: serving report");
     }
 }
 
@@ -1062,15 +1189,12 @@ fn serve_shared_prefix_cluster(
     routing: RoutingKind,
     stealing: bool,
 ) -> ClusterReport {
-    use token_picker::accel::serve::workloads::{shared_prefix_chat, shared_prefix_cluster};
-
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut cluster = shared_prefix_cluster(accel, true)
+    let mut cluster = cluster_builder(chat_config(true))
         .shards(shards)
         .routing(routing)
         .stealing(stealing)
         .build();
-    for r in shared_prefix_chat(11, 4, 6) {
+    for r in chat_requests() {
         cluster.enqueue(r).expect("valid request");
     }
     let report = cluster.run_to_completion(4096).expect("workload completes");
@@ -1197,9 +1321,9 @@ fn engine_record_replay_record_is_a_fixed_point_for_every_scenario_and_policy() 
                 panic!("{kind}/{policy}: replay diverged from the recording:\n{diff}");
             }
             assert_eq!(first.digest, second.digest, "{kind}/{policy}: trace digest");
-            let (RunReport::Engine(a), RunReport::Engine(b)) = (report_a, report_b) else {
-                panic!("{kind}/{policy}: shards <= 1 must run a bare engine");
-            };
+            let label = format!("{kind}/{policy}");
+            let a = engine_report(report_a, &label);
+            let b = engine_report(report_b, &label);
             assert_eq!(
                 schedule_digest(&a),
                 schedule_digest(&b),
@@ -1276,10 +1400,7 @@ fn cluster_record_replay_is_a_fixed_point_across_routing_stealing_and_threads() 
                 panic!("{label}: replay diverged from the recording:\n{diff}");
             }
             assert_eq!(first.digest, second.digest, "{label}: trace digest");
-            let (RunReport::Cluster(a), RunReport::Cluster(b)) = (report_a, report_b) else {
-                panic!("{label}: shards > 1 must run a cluster");
-            };
-            assert_same_schedule(&a, &b, &label);
+            assert_same_schedule(&report_a, &report_b, &label);
         }
     }
 }
@@ -1304,9 +1425,6 @@ fn agentic_scenario_affinity_beats_round_robin_by_the_pinned_margin() {
         );
         let (_, report) =
             run_recorded(&meta, &requests).unwrap_or_else(|e| panic!("{routing}: run failed: {e}"));
-        let RunReport::Cluster(report) = report else {
-            panic!("{routing}: expected a cluster run");
-        };
         report
     };
     let round_robin = run(RoutingKind::RoundRobin);
@@ -1336,22 +1454,10 @@ fn serve_skewed_chunked(
     retention: RetentionPolicy,
     chunk_pages: usize,
 ) -> ServingReport {
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
-
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut builder = ServingEngine::builder(accel)
-        .heads(4)
-        .weight_bytes(10_000_000)
-        .max_batch(4)
-        .max_batch_tokens(2200)
-        .seed(7)
-        .policy(policy)
-        .prefill_chunk_pages(chunk_pages);
-    if preemption {
-        builder = builder.enable_preemption().retention(retention);
-    }
-    let mut engine = builder.build();
-    for r in skewed_elephant_mice(4, 12) {
+    let mut cfg = skewed_config(preemption, retention);
+    cfg.prefill_chunk_pages = chunk_pages;
+    let mut engine = engine_for(cfg, policy);
+    for r in skewed_requests() {
         engine.enqueue(r).expect("valid request");
     }
     engine.run_to_completion(2048).expect("workload completes")
@@ -1369,7 +1475,7 @@ fn long_doc_recorded(
     preemption: bool,
     zero_arrivals: bool,
     cluster: Option<(usize, RoutingKind)>,
-) -> (token_picker::accel::Trace, RunReport) {
+) -> (token_picker::accel::Trace, ClusterReport) {
     use token_picker::accel::serve::scenario::{LongDocSummarize, Scenario};
 
     let scenario = LongDocSummarize { docs };
@@ -1394,11 +1500,10 @@ fn long_doc_recorded(
         .unwrap_or_else(|e| panic!("long-doc run (chunk {chunk_pages}) failed: {e}"))
 }
 
-fn engine_report(report: RunReport, label: &str) -> ServingReport {
-    match report {
-        RunReport::Engine(r) => r,
-        RunReport::Cluster(_) => panic!("{label}: expected a bare engine run"),
-    }
+/// The report of a 1-shard run's only shard: the bare engine's schedule.
+fn engine_report(mut report: ClusterReport, label: &str) -> ServingReport {
+    assert_eq!(report.shards.len(), 1, "{label}: expected a 1-shard run");
+    report.shards.remove(0)
 }
 
 #[test]
@@ -1474,10 +1579,7 @@ fn unbinding_chunk_budget_is_schedule_identical_across_every_router() {
             "{label}: trace digest moved under an unbinding budget:\n{}",
             unlimited.diff(&bounded).unwrap_or_default()
         );
-        let (RunReport::Cluster(a), RunReport::Cluster(b)) = (report_a, report_b) else {
-            panic!("{label}: four shards must run a cluster");
-        };
-        assert_same_schedule(&a, &b, &label);
+        assert_same_schedule(&report_a, &report_b, &label);
     }
 }
 
@@ -1843,9 +1945,6 @@ fn golden_trace_replays_to_its_recorded_digest() {
     let recorded = replay.trace().digest;
     let (trace, report) = replay.run().expect("replay reproduces the recording");
     assert_eq!(trace.digest, recorded, "replay digest moved off the golden");
-    let RunReport::Cluster(report) = report else {
-        panic!("the golden trace records a 4-shard cluster run");
-    };
     assert_eq!(report.shards.len(), 4);
     assert!(report.tokens_generated() > 0);
 }
@@ -1858,22 +1957,11 @@ fn golden_trace_replays_to_its_recorded_digest() {
 /// engine shape (priority-aging, preemption, 0.75 paged retention) with
 /// the host tier configured.
 fn serve_skewed_tiered(host_pages: usize, swap_cost_factor: f64) -> ServingReport {
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
-
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut engine = ServingEngine::builder(accel)
-        .heads(4)
-        .weight_bytes(10_000_000)
-        .max_batch(4)
-        .max_batch_tokens(2200)
-        .seed(7)
-        .policy(PolicyKind::PriorityAging)
-        .enable_preemption()
-        .retention(RetentionPolicy::Fraction(0.75))
-        .host_pages(host_pages)
-        .swap_cost_factor(swap_cost_factor)
-        .build();
-    for r in skewed_elephant_mice(4, 12) {
+    let mut cfg = skewed_config(true, RetentionPolicy::Fraction(0.75));
+    cfg.host_pages = host_pages;
+    cfg.swap_cost_factor = swap_cost_factor;
+    let mut engine = engine_for(cfg, PolicyKind::PriorityAging);
+    for r in skewed_requests() {
         engine.enqueue(r).expect("valid request");
     }
     let report = engine.run_to_completion(2048).expect("workload completes");
@@ -1894,28 +1982,15 @@ fn tier_off_cost_factors_reproduce_every_golden_schedule() {
     // meaningless on a bare engine, and the rejection flag has nothing to
     // reject in a deadline-free workload — every golden must come back
     // bit-identical with all three configured.
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
 
     for &(policy, preemption, digest) in &GOLDEN_POLICY_DIGESTS {
-        let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-        let mut builder = ServingEngine::builder(accel)
-            .heads(4)
-            .weight_bytes(10_000_000)
-            .max_batch(4)
-            .max_batch_tokens(2200)
-            .seed(7)
-            .policy(policy)
-            .host_pages(0)
-            .swap_cost_factor(0.1)
-            .ship_cost_factor(0.25)
-            .reject_expired_ttft(true);
-        if preemption {
-            builder = builder
-                .enable_preemption()
-                .retention(RetentionPolicy::Fraction(0.75));
-        }
-        let mut engine = builder.build();
-        for r in skewed_elephant_mice(4, 12) {
+        let mut cfg = skewed_config(preemption, RetentionPolicy::Fraction(0.75));
+        cfg.host_pages = 0;
+        cfg.swap_cost_factor = 0.1;
+        cfg.ship_cost_factor = 0.25;
+        cfg.reject_expired_ttft = true;
+        let mut engine = engine_for(cfg, policy);
+        for r in skewed_requests() {
             engine.enqueue(r).expect("valid request");
         }
         let report = engine.run_to_completion(2048).expect("workload completes");
@@ -2035,16 +2110,14 @@ fn swap_events_account_for_every_copied_back_token() {
 /// The shared-prefix chat workload on a 4-shard round-robin cluster with
 /// prefix-pull shipping priced at `ship`.
 fn serve_shared_prefix_cluster_shipped(ship: f64) -> ClusterReport {
-    use token_picker::accel::serve::workloads::{shared_prefix_chat, shared_prefix_cluster};
-
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut cluster = shared_prefix_cluster(accel, true)
+    let mut cfg = chat_config(true);
+    cfg.ship_cost_factor = ship;
+    let mut cluster = cluster_builder(cfg)
         .shards(4)
         .routing(RoutingKind::RoundRobin)
         .stealing(false)
-        .ship_cost_factor(ship)
         .build();
-    for r in shared_prefix_chat(11, 4, 6) {
+    for r in chat_requests() {
         cluster.enqueue(r).expect("valid request");
     }
     let report = cluster.run_to_completion(4096).expect("workload completes");
@@ -2125,9 +2198,6 @@ fn shipped_prefix_pulls_record_and_replay_to_the_same_digest() {
             .any(|e| matches!(e, ClusterEvent::Shipped { .. })),
         "no prefix pages were ever shipped"
     );
-    let RunReport::Cluster(report) = report else {
-        panic!("four shards must run a cluster");
-    };
     assert!(report.total_ship_cycles() > 0);
 }
 
@@ -2135,27 +2205,18 @@ fn shipped_prefix_pulls_record_and_replay_to_the_same_digest() {
 /// preemption, paged retention, the host tier *and* priced shipping all
 /// on — the full tiered configuration.
 fn serve_skewed_cluster_tiered(threads: usize) -> ClusterReport {
-    use token_picker::accel::serve::workloads::skewed_elephant_mice;
-
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut cluster = ClusterEngine::builder(accel)
-        .heads(4)
-        .weight_bytes(10_000_000)
-        .max_batch(4)
-        .max_batch_tokens(2200)
-        .seed(7)
+    let mut cfg = skewed_config(true, RetentionPolicy::Fraction(0.75));
+    cfg.host_pages = 256;
+    cfg.swap_cost_factor = 0.25;
+    cfg.ship_cost_factor = 0.25;
+    let mut cluster = cluster_builder(cfg)
         .policy(PolicyKind::PriorityAging)
-        .enable_preemption()
-        .retention(RetentionPolicy::Fraction(0.75))
-        .host_pages(256)
-        .swap_cost_factor(0.25)
-        .ship_cost_factor(0.25)
         .shards(4)
         .routing(RoutingKind::LeastLoaded)
         .stealing(true)
         .threads(threads)
         .build();
-    for r in skewed_elephant_mice(4, 12) {
+    for r in skewed_requests() {
         cluster.enqueue(r).expect("valid request");
     }
     let report = cluster.run_to_completion(2048).expect("workload completes");
@@ -2342,15 +2403,16 @@ fn truncated_cluster_snapshots_keep_the_prefix_hit_rate_in_unit_range() {
     // reported 0.0 on every one of these snapshots because its
     // denominator only counted finished requests.
     let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut cluster = ClusterEngine::builder(accel)
-        .heads(2)
-        .weight_bytes(1_000_000)
-        .max_batch(4)
-        .max_batch_tokens(1600)
-        .page_size(16)
-        .prefix_cache(true)
-        .prefill_factor(1.0)
-        .seed(7)
+    let mut cfg = ServingConfig::new(accel);
+    cfg.heads = 2;
+    cfg.weight_bytes = 1_000_000;
+    cfg.admission.max_batch = 4;
+    cfg.admission.max_batch_tokens = 1600;
+    cfg.admission.page_size = 16;
+    cfg.admission.prefix_cache = true;
+    cfg.prefill_factor = 1.0;
+    cfg.seed = 7;
+    let mut cluster = cluster_builder(cfg)
         .shards(2)
         .routing(RoutingKind::PrefixAffinity)
         .build();
@@ -2411,14 +2473,10 @@ fn run_real_token_chat(
     prefix_cache: bool,
     chunk_pages: usize,
 ) -> (token_picker::accel::TokenBackedRun, Vec<ServingRequest>) {
-    let accel = AccelConfig::paper(AccelMode::OutOfOrder, 1e-3).expect("valid threshold");
-    let mut builder =
-        token_picker::accel::serve::workloads::shared_prefix_engine(accel, prefix_cache);
-    if chunk_pages > 0 {
-        builder = builder.prefill_chunk_pages(chunk_pages);
-    }
-    let mut engine = builder.build();
-    let requests = token_picker::accel::serve::workloads::shared_prefix_chat(11, 4, 6);
+    let mut cfg = chat_config(prefix_cache);
+    cfg.prefill_chunk_pages = chunk_pages;
+    let mut engine = ServingEngine::new(cfg);
+    let requests = chat_requests();
     let run = token_picker::accel::run_token_backed(
         &mut engine,
         requests.clone(),
